@@ -55,6 +55,9 @@ Hierarchy::load(snapshot::Deserializer &d)
     l3_.load(d);
     itlb_.load(d);
     dtlb_.load(d);
+    // A restore makes lines valid without a fill.
+    if (sharers_)
+        sharers_->clear();
 }
 
 void

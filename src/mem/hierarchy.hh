@@ -15,6 +15,7 @@
 #include <cstdint>
 
 #include "mem/cache.hh"
+#include "mem/sharer_directory.hh"
 #include "mem/tlb.hh"
 
 namespace dlsim::mem
@@ -201,6 +202,18 @@ class Hierarchy
      *  this core observes a store to a GOT slot it caches. */
     void invalidateDataLine(Addr addr, std::uint16_t asid);
 
+    /**
+     * Report every L1 miss (I and D side: both fill the unified
+     * L2/L3) to `dir` as a fill by core `core`, and clear `dir` on
+     * load(). The directory must outlive the hierarchy.
+     */
+    void attachSharerDirectory(SharerDirectory *dir,
+                               std::uint32_t core)
+    {
+        sharers_ = dir;
+        sharerCore_ = core;
+    }
+
     const Cache &l1i() const { return l1i_; }
     const Cache &l1d() const { return l1d_; }
     const Cache &l2() const { return l2_; }
@@ -249,6 +262,8 @@ class Hierarchy
         res.l1Hit = l1.access(addr, asid);
         if (res.l1Hit)
             return res;
+        if (sharers_)
+            sharers_->noteFill(addr, sharerCore_);
         res.l2Hit = l2_.access(addr, asid);
         if (!res.l2Hit) {
             res.l3Hit = l3_.access(addr, asid);
@@ -268,6 +283,9 @@ class Hierarchy
     Cache l3_;
     Tlb itlb_;
     Tlb dtlb_;
+    /** Multicore snoop filter this hierarchy reports fills to. */
+    SharerDirectory *sharers_ = nullptr;
+    std::uint32_t sharerCore_ = 0;
 };
 
 } // namespace dlsim::mem

@@ -36,6 +36,20 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreParams &params,
     }
     nextStackTop_ = stack_top;
 
+    // The sharer directory tracks lines at one granularity and one
+    // bit per core; any other geometry keeps the full broadcast.
+    const mem::HierarchyParams &mp = params_.core.mem;
+    const std::uint32_t line = mp.l1d.lineBytes;
+    if (params_.cacheCoherence &&
+        params_.numCores <= mem::SharerDirectory::MaxCores &&
+        mp.l1i.lineBytes == line && mp.l2.lineBytes == line &&
+        mp.l3.lineBytes == line) {
+        sharers_ = std::make_unique<mem::SharerDirectory>(line);
+        for (std::uint32_t i = 0; i < params_.numCores; ++i)
+            cores_[i]->hierarchy().attachSharerDirectory(
+                sharers_.get(), i);
+    }
+
     // Wire write-invalidate coherence: each core's retired stores
     // are snooped by every other core's caches and skip unit. Any
     // attached retire observer (lockstep checker) on a sibling is
@@ -52,10 +66,15 @@ void
 MultiCoreSystem::snoopStore(std::uint32_t from, isa::Addr addr)
 {
     ++snoopedStores_;
+    // Siblings whose data-side caches may hold the line.
+    const mem::SharerDirectory::Mask holders =
+        sharers_ ? sharers_->claim(addr, from)
+                 : mem::SharerDirectory::AllCores;
     for (std::uint32_t j = 0; j < cores_.size(); ++j) {
         if (j == from)
             continue;
-        if (params_.cacheCoherence)
+        if (params_.cacheCoherence &&
+            (!sharers_ || (holders >> j & 1)))
             cores_[j]->hierarchy().invalidateDataLine(addr);
         if (auto *unit = cores_[j]->skipUnit())
             unit->coherenceInvalidate(addr);

@@ -29,6 +29,7 @@
 #include "cpu/core.hh"
 #include "linker/dynamic_linker.hh"
 #include "linker/image.hh"
+#include "mem/sharer_directory.hh"
 #include "stats/metrics.hh"
 
 namespace dlsim::snapshot
@@ -129,7 +130,10 @@ class MultiCoreSystem
      * body of the per-core store-snoop hook, exposed so a
      * functional fast-forward engine servicing a resolver trap can
      * issue the same coherence traffic the architectural data path
-     * would.
+     * would. The cache invalidation goes only to the siblings the
+     * sharer directory says may hold the line (see
+     * mem/sharer_directory.hh); the skip-unit and observer snoops
+     * reach every sibling.
      */
     void snoopStore(std::uint32_t from, isa::Addr addr);
 
@@ -181,6 +185,9 @@ class MultiCoreSystem
     isa::Addr nextStackTop_ = 0;
     std::uint32_t extraStacks_ = 0;
     std::uint64_t snoopedStores_ = 0;
+    /** Snoop filter; null when coherence is off or the geometry
+     *  rules it out (then every store broadcasts). */
+    std::unique_ptr<mem::SharerDirectory> sharers_;
 };
 
 } // namespace dlsim::sim

@@ -12,6 +12,7 @@
 #include "elf/builder.hh"
 #include "linker/loader.hh"
 #include "sim/multicore.hh"
+#include "snapshot/serializer.hh"
 
 using namespace dlsim;
 using namespace dlsim::isa;
@@ -264,6 +265,84 @@ TEST(MultiCore, StoreInvalidatesSiblingCaches)
     EXPECT_FALSE(
         rig.system->core(0).hierarchy().l1d().contains(data_base,
                                                        0));
+}
+
+namespace
+{
+
+/** True when `c` holds `addr` in any data-side (snooped) level. */
+bool
+holdsData(MultiCoreSystem &sys, std::uint32_t c, Addr addr)
+{
+    const auto &h = sys.core(c).hierarchy();
+    return h.l1d().contains(addr, 0) || h.l2().contains(addr, 0) ||
+           h.l3().contains(addr, 0);
+}
+
+/** Run `bump` on core 0 alone: one load and one store to the
+ *  shared counter at the start of app data. */
+void
+bumpOnCore0(Rig &rig)
+{
+    rig.system->runOnAll(rig.image->symbolAddress("bump"),
+                         {{0, 0}});
+}
+
+} // namespace
+
+TEST(MultiCore, StoreInvalidatesLineRefilledAfterSnoop)
+{
+    // A store leaves the storer as the line's only holder; a
+    // sibling that refills the line afterwards must be snooped by
+    // the next store again — through a data load, and through an
+    // instruction fetch, which misses L1I but fills the unified
+    // L2 and L3.
+    MultiCoreParams params;
+    params.numCores = 2;
+    Rig rig(params);
+    const auto line = rig.image->moduleAt(0).dataBase;
+    auto &sibling = rig.system->core(1).hierarchy();
+
+    bumpOnCore0(rig);
+    sibling.data(line, 0);
+    ASSERT_TRUE(holdsData(*rig.system, 1, line));
+    bumpOnCore0(rig);
+    EXPECT_FALSE(holdsData(*rig.system, 1, line));
+
+    sibling.fetch(line, 0);
+    ASSERT_TRUE(sibling.l2().contains(line, 0));
+    ASSERT_TRUE(sibling.l3().contains(line, 0));
+    bumpOnCore0(rig);
+    EXPECT_FALSE(holdsData(*rig.system, 1, line));
+}
+
+TEST(MultiCore, StoreDropsSiblingCopyRestoredFromCheckpoint)
+{
+    // Checkpoint a system whose core 1 holds the counter line.
+    MultiCoreParams params;
+    params.numCores = 2;
+    Rig warm(params);
+    const auto line = warm.image->moduleAt(0).dataBase;
+    warm.system->core(1).hierarchy().data(line, 0);
+    snapshot::Serializer s;
+    s.beginSection("mc");
+    warm.system->save(s);
+    s.endSection();
+    const auto bytes = s.finish();
+
+    // A fresh system whose own history says only core 0 holds the
+    // line restores the checkpoint: the restored copy on core 1 is
+    // a holder that no fill announced, and a store must drop it.
+    Rig fresh(params);
+    ASSERT_EQ(fresh.image->moduleAt(0).dataBase, line);
+    bumpOnCore0(fresh);
+    snapshot::Deserializer d(bytes.data(), bytes.size());
+    d.enterSection("mc");
+    fresh.system->load(d);
+    d.leaveSection();
+    ASSERT_TRUE(holdsData(*fresh.system, 1, line));
+    bumpOnCore0(fresh);
+    EXPECT_FALSE(holdsData(*fresh.system, 1, line));
 }
 
 TEST(MultiCore, RunQueueHandlesMoreThreadsThanCores)

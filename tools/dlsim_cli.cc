@@ -44,6 +44,9 @@
  */
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,6 +54,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/job_runner.hh"
@@ -105,9 +109,29 @@ parse(int argc, char **argv, Options &opt)
     int positional = 0;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next_int = [&](long def) {
-            return i + 1 < argc ? std::atol(argv[++i]) : def;
+        // The option's value as an unsigned decimal no larger than
+        // `max`; false, with a message, when it is missing or is
+        // anything else (sign, suffix, overflow).
+        auto next_count = [&](std::uint64_t max, std::uint64_t &out) {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "%s requires a value\n",
+                             arg.c_str());
+                return false;
+            }
+            const std::string_view text = argv[++i];
+            const auto [end, ec] = std::from_chars(
+                text.data(), text.data() + text.size(), out);
+            if (ec != std::errc{} ||
+                end != text.data() + text.size() || out > max) {
+                std::fprintf(stderr,
+                             "%s: '%s' is not a count in [0, %llu]\n",
+                             arg.c_str(), argv[i],
+                             static_cast<unsigned long long>(max));
+                return false;
+            }
+            return true;
         };
+        std::uint64_t n = 0;
         if (arg == "--enhanced") {
             opt.enhanced = true;
         } else if (arg == "--arm") {
@@ -132,16 +156,24 @@ parse(int argc, char **argv, Options &opt)
         } else if (arg == "--aslr") {
             opt.aslr = true;
         } else if (arg == "--requests") {
-            opt.requests = static_cast<int>(next_int(500));
+            if (!next_count(INT_MAX, n))
+                return false;
+            opt.requests = static_cast<int>(n);
         } else if (arg == "--warmup") {
-            opt.warmup = static_cast<int>(next_int(100));
+            if (!next_count(INT_MAX, n))
+                return false;
+            opt.warmup = static_cast<int>(n);
         } else if (arg == "--abtb-entries") {
-            opt.abtbEntries =
-                static_cast<std::uint32_t>(next_int(256));
+            if (!next_count(UINT32_MAX, n))
+                return false;
+            opt.abtbEntries = static_cast<std::uint32_t>(n);
         } else if (arg == "--seed") {
-            opt.seed = static_cast<std::uint64_t>(next_int(42));
+            if (!next_count(UINT64_MAX, n))
+                return false;
+            opt.seed = n;
         } else if (arg == "--jobs") {
-            const long n = next_int(0);
+            if (!next_count(UINT_MAX, n))
+                return false;
             if (n < 1) {
                 std::fprintf(stderr,
                              "--jobs requires a count >= 1\n");
@@ -149,8 +181,11 @@ parse(int argc, char **argv, Options &opt)
             }
             opt.jobs = static_cast<unsigned>(n);
         } else if (arg == "--json-out") {
-            if (i + 1 < argc)
-                opt.jsonOut = argv[++i];
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "--json-out requires a path\n");
+                return false;
+            }
+            opt.jsonOut = argv[++i];
         } else if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "unknown option %s\n",
                          arg.c_str());
