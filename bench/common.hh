@@ -22,6 +22,8 @@
 #define DLSIM_BENCH_COMMON_HH
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,7 +54,8 @@ namespace dlsim::bench
  * Command-line arguments shared by every bench binary.
  *
  * Accepted flags (and nothing else — unknown flags, positional
- * arguments and duplicated flags are rejected with exit code 2):
+ * arguments, duplicated flags and malformed values, e.g. a
+ * non-numeric or negative count, are rejected with exit code 2):
  *
  *   --jobs N         run the measurement grid on N host threads
  *                    (default: affinity-mask CPUs; 1 = serial)
@@ -81,10 +85,11 @@ class BenchArgs
 {
   public:
     /**
-     * A benchmark-specific integer flag (e.g. server_traffic's
+     * A benchmark-specific count flag (e.g. server_traffic's
      * --requests). Parsed with the same strictness as the shared
-     * flags: duplicates and missing values die with exit 2, and the
-     * flag appears in --help.
+     * flags: duplicates, missing values and anything but a
+     * non-negative decimal die with exit 2, and the flag appears in
+     * --help.
      */
     struct ExtraFlag
     {
@@ -120,7 +125,7 @@ class BenchArgs
                 saw_jobs = true;
                 if (i + 1 >= argc)
                     die("--jobs requires a count");
-                const long n = std::atol(argv[++i]);
+                const auto n = parseCount(arg, argv[++i], UINT_MAX);
                 if (n < 1)
                     die("--jobs requires a count >= 1");
                 jobs_ = static_cast<unsigned>(n);
@@ -147,8 +152,7 @@ class BenchArgs
                 saw_seed = true;
                 if (i + 1 >= argc)
                     die("--seed requires a value");
-                seed_ = static_cast<std::uint64_t>(
-                    std::atoll(argv[++i]));
+                seed_ = parseCount(arg, argv[++i], UINT64_MAX);
             } else if (arg == "--blocks") {
                 if (saw_blocks)
                     die("duplicate --blocks");
@@ -205,7 +209,8 @@ class BenchArgs
                 saw_extra[e] = true;
                 if (i + 1 >= argc)
                     die((arg + " requires a value").c_str());
-                extras_[e].value = std::atoll(argv[++i]);
+                extras_[e].value = static_cast<long long>(
+                    parseCount(arg, argv[++i], LLONG_MAX));
             }
         }
         if (jobs_ == 0)
@@ -308,6 +313,29 @@ class BenchArgs
                          e.name, e.help, e.value);
     }
 
+    /**
+     * The value of option `flag` as an unsigned decimal no larger
+     * than `max`; anything else (sign, suffix, overflow, empty)
+     * dies with exit 2 and a message naming the flag.
+     */
+    std::uint64_t
+    parseCount(const std::string &flag, const char *text,
+               std::uint64_t max) const
+    {
+        const std::string_view v = text;
+        std::uint64_t out = 0;
+        const auto [end, ec] =
+            std::from_chars(v.data(), v.data() + v.size(), out);
+        if (ec != std::errc{} || end != v.data() + v.size() ||
+            out > max) {
+            die((flag + ": '" + std::string(v) +
+                 "' is not a count in [0, " + std::to_string(max) +
+                 "]")
+                    .c_str());
+        }
+        return out;
+    }
+
     [[noreturn]] void
     die(const char *message) const
     {
@@ -386,7 +414,7 @@ measureArm(workload::Workbench &wb, int requests)
 /**
  * Run one arm of an experiment. With `sp.enabled` the arm runs in
  * sampled mode (detailed windows + functional fast-forward; see
- * sim::SampledExecution). A non-null `prog` supplies a pre-built
+ * sim::Sampler). A non-null `prog` supplies a pre-built
  * program shared across arms of the same workload.
  */
 inline ArmResult

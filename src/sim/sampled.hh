@@ -1,6 +1,6 @@
 /**
  * @file
- * SampledExecution: SMARTS-style sampled simulation for one core.
+ * Sampler: SMARTS-style sampled simulation, one core or many.
  *
  * Detailed timing simulation (cpu::Core::step) costs an order of
  * magnitude more host time per instruction than functional
@@ -29,10 +29,10 @@
  * to trampoline elision (the functional engine executes the PLT
  * jumps the enhanced machine's ABTB would skip).
  *
- * Exact mode is untouched: sampling only exists on a Workbench that
- * explicitly attached a SampledExecution (BenchArgs --sample=W:D:F,
- * default off), and every golden/determinism contract is stated for
- * exact mode.
+ * Exact mode is untouched: sampling only exists on a Workbench or
+ * os::Server that explicitly attached a Sampler (setSampling;
+ * BenchArgs --sample=W:D:F, default off), and every
+ * golden/determinism contract is stated for exact mode.
  */
 
 #ifndef DLSIM_SIM_SAMPLED_HH
@@ -133,122 +133,63 @@ struct SampledStats
 };
 
 /**
- * Drives one core's in-progress call (Core::beginCall) to
- * completion, alternating detailed sample windows and functional
- * fast-forward. One instance per Workbench; the phase machine and
- * stats persist across calls.
- */
-class SampledExecution
-{
-  public:
-    /** Estimated cost of one driven call. */
-    struct CallEstimate
-    {
-        /** Exact count of instructions the call retired (detailed
-         *  plus functional plus synthetic resolver cost). */
-        std::uint64_t instructions = 0;
-        /** Detailed cycles plus CPI-extrapolated ff cycles. */
-        std::uint64_t cycles = 0;
-    };
-
-    SampledExecution(cpu::Core &core, linker::Image &image,
-                     linker::DynamicLinker &linker,
-                     const SampleParams &params);
-
-    /** Run the call set up by Core::beginCall until it returns
-     *  (pc == MagicReturnVa) or the machine halts. */
-    CallEstimate runToReturn();
-
-    const SampleParams &params() const { return params_; }
-    const SampledStats &stats() const { return stats_; }
-
-    /** Zero the stats (phase machine keeps its position). */
-    void clearStats() { stats_ = SampledStats{}; }
-
-    /**
-     * Register `<prefix>.sampled.*`: the sample-grid work split,
-     * measured CPI, coverage, and the extrapolated totals. Only
-     * sampled runs carry these keys — exact-mode documents (and the
-     * metrics golden) are unchanged.
-     */
-    void reportMetrics(stats::MetricsRegistry &reg,
-                       const std::string &prefix) const;
-
-  private:
-    /** Run one detailed (warmup or detail) quantum.
-     *  @return True once the call has returned/halted. */
-    bool runDetailedPhase(std::uint64_t &det_insts,
-                          std::uint64_t &det_cycles);
-    /** Run one functional phase. @return True once done. */
-    bool runFastForward(std::uint64_t &ff_insts);
-    /** Service a resolver trap functionally; returns the synthetic
-     *  instruction cost (CoreParams::resolverInsts). */
-    std::uint64_t serviceResolverFunctional();
-
-    enum class Phase
-    {
-        Warmup,
-        Detail,
-        FastForward
-    };
-
-    cpu::Core &core_;
-    linker::Image &image_;
-    linker::DynamicLinker &linker_;
-    check::RefCore ref_;
-    SampleParams params_;
-    SampledStats stats_;
-    Phase phase_ = Phase::Warmup;
-    std::uint64_t phaseLeft_ = 0;
-};
-
-/**
- * Sampled execution for a MultiCoreSystem driven by an OS-like
- * scheduler (os::Kernel): one shared W:D:F phase machine laid over
- * the *combined* retired-instruction stream of all cores, with one
- * direct-memory RefCore per core for the fast-forward phases.
+ * The W:D:F phase machine over the cores it drives: a Workbench's
+ * one core, or every core of a MultiCoreSystem driven by an
+ * OS-like scheduler (os::Kernel). One phase machine is laid over
+ * the *combined* retired-instruction stream of those cores, with
+ * one direct-memory RefCore per core for the fast-forward phases.
+ * The phase machine and stats persist across calls.
  *
- * The scheduler stays in charge: it asks inFastForward() before
- * each slice and either runs the detailed core (reporting the
- * retired work through noteDetailed(), which advances the phase
- * machine) or calls runFunctionalSlice(), which executes up to the
- * slice budget functionally on that core's RefCore. Either way the
- * slice consumes the same number of scheduling-budget instructions
- * for the same architectural work, so on a machine without
- * trampoline elision every scheduling decision — dispatch order,
- * preemptions, blocking, wakeups, churn points — is byte-identical
- * to the exact-mode run; only cycle timing is extrapolated. (With
- * an ABTB, elision makes detailed windows retire fewer instructions
- * than functional execution of the same code, so quantum boundaries
- * shift; logical server counters remain exact, micro-counters are
- * approximate.)
+ * The caller stays in charge: it asks inFastForward() before each
+ * slice and either runs the detailed core (reporting the retired
+ * work through noteDetailed(), which advances the phase machine) or
+ * calls runFunctionalSlice(), which executes up to the slice budget
+ * functionally on that core's RefCore. Workbench::runRequest stops
+ * each detailed quantum at the phase boundary (phaseLeft()); the
+ * kernel runs its full scheduling budget and noteDetailed() clamps
+ * the overshoot. Either way a kernel slice consumes the same number
+ * of scheduling-budget instructions for the same architectural
+ * work, so on a machine without trampoline elision every
+ * scheduling decision — dispatch order, preemptions, blocking,
+ * wakeups, churn points — is byte-identical to the exact-mode run;
+ * only cycle timing is extrapolated. (With an ABTB, elision makes
+ * detailed windows retire fewer instructions than functional
+ * execution of the same code, so quantum boundaries shift; logical
+ * server counters remain exact, micro-counters are approximate.)
  *
  * Resolver traps inside a fast-forward phase are serviced
- * architecturally: the GOT store lands in the live address space,
- * the executing core's skip unit retires the store, and the store
- * is snooped onto every sibling through
- * MultiCoreSystem::snoopStore — tenant churn and lazy rebinding
- * behave exactly as in exact mode. Ordinary fast-forwarded data
- * stores are not snooped per-store (they land in the shared address
- * space directly); the only effect lost is timing-side cache
- * invalidations and conservative bloom-filter false-positive
- * flushes, never a stale skip.
+ * architecturally: the GOT store lands in the live address space
+ * and the executing core's skip unit retires the store. A sampler
+ * built over a MultiCoreSystem also snoops the store onto every
+ * sibling through MultiCoreSystem::snoopStore, so tenant churn and
+ * lazy rebinding behave exactly as in exact mode. Ordinary
+ * fast-forwarded data stores are not snooped per-store (they land
+ * in the shared address space directly); the only effect lost is
+ * timing-side cache invalidations and conservative bloom-filter
+ * false-positive flushes, never a stale skip.
  */
-class ServerSampler
+class Sampler
 {
   public:
-    ServerSampler(MultiCoreSystem &sys, linker::Image &image,
-                  linker::DynamicLinker &linker,
-                  const SampleParams &params);
+    /** Sample one core (a Workbench's); no sibling snoops. */
+    Sampler(cpu::Core &core, linker::Image &image,
+            linker::DynamicLinker &linker, const SampleParams &params);
+    /** Sample every core of `sys`; resolver GOT stores are snooped
+     *  onto siblings. */
+    Sampler(MultiCoreSystem &sys, linker::Image &image,
+            linker::DynamicLinker &linker, const SampleParams &params);
 
-    /** True while the shared phase machine is in a fast-forward
-     *  phase — the scheduler should run functional slices. */
+    /** True while the phase machine is in a fast-forward phase —
+     *  the caller should run functional slices. */
     bool inFastForward() const
     {
         return phase_ == Phase::FastForward;
     }
 
-    /** One functional slice's scheduling-relevant outcome. */
+    /** Instructions left in the current phase. */
+    std::uint64_t phaseLeft() const { return phaseLeft_; }
+
+    /** One functional slice's outcome. */
     struct FfSlice
     {
         /** Instructions executed (incl. synthetic resolver cost) —
@@ -275,7 +216,8 @@ class ServerSampler
     /**
      * Account a detailed slice (runQuantum on any core) into the
      * phase machine: warmup/detail consumption, CPI measurement,
-     * and the Warmup -> Detail -> FastForward transitions.
+     * and the Warmup -> Detail -> FastForward transitions. Ignored
+     * during fast-forward.
      */
     void noteDetailed(std::uint64_t insts, std::uint64_t cycles);
 
@@ -285,14 +227,25 @@ class ServerSampler
     /** Zero the stats (phase machine keeps its position). */
     void clearStats() { stats_ = SampledStats{}; }
 
-    /** Register `<prefix>.sampled.*` (same keys as the single-core
-     *  sampler). */
+    /**
+     * Register `<prefix>.sampled.*`: the sample-grid work split,
+     * measured CPI, coverage, and the extrapolated totals. Only
+     * sampled runs carry these keys — exact-mode documents (and the
+     * metrics golden) are unchanged.
+     */
     void reportMetrics(stats::MetricsRegistry &reg,
                        const std::string &prefix) const;
 
   private:
-    std::uint64_t serviceResolverFunctional(std::uint32_t core);
+    Sampler(std::vector<cpu::Core *> cores, MultiCoreSystem *sys,
+            linker::Image &image, linker::DynamicLinker &linker,
+            const SampleParams &params);
+
+    /** Enter Warmup, or Detail when the spec has no warmup. */
     void enterDetailedPhase();
+    /** Service a resolver trap functionally; returns the synthetic
+     *  instruction cost (CoreParams::resolverInsts). */
+    std::uint64_t serviceResolverFunctional(std::uint32_t core);
 
     enum class Phase
     {
@@ -301,8 +254,9 @@ class ServerSampler
         FastForward
     };
 
-    MultiCoreSystem &sys_;
-    linker::Image &image_;
+    std::vector<cpu::Core *> cores_;
+    /** Snoop target for resolver GOT stores; null on one core. */
+    MultiCoreSystem *sys_;
     linker::DynamicLinker &linker_;
     std::vector<std::unique_ptr<check::RefCore>> refs_;
     SampleParams params_;

@@ -272,7 +272,7 @@ Workbench::setSampling(const sim::SampleParams &params)
         sampler_.reset();
         return;
     }
-    sampler_ = std::make_unique<sim::SampledExecution>(
+    sampler_ = std::make_unique<sim::Sampler>(
         *core_, *image_, *linker_, params);
 }
 
@@ -305,10 +305,33 @@ Workbench::runRequest(std::uint32_t kind)
 
     if (sampler_) {
         // Identical RNG draws, identical request: only the
-        // execution engine differs.
+        // execution engine differs. Each detailed quantum stops at
+        // the phase boundary; fast-forwarded cycles are
+        // extrapolated once, from the CPI at the end of the call.
         core_->beginCall(handlerAddrs_[kind], work, seed);
-        const auto est = sampler_->runToReturn();
-        return RequestResult{kind, est.cycles, est.instructions};
+        std::uint64_t det_insts = 0, det_cycles = 0, ff_insts = 0;
+        for (bool done = false; !done;) {
+            if (sampler_->inFastForward()) {
+                const auto sl =
+                    sampler_->runFunctionalSlice(0, UINT64_MAX);
+                ff_insts += sl.insts;
+                done = sl.done;
+                continue;
+            }
+            const auto insts0 = core_->instructionsRetired();
+            const auto cycles0 = core_->cycleCount();
+            done = core_->runQuantum(sampler_->phaseLeft());
+            const auto ran = core_->instructionsRetired() - insts0;
+            const auto cyc = core_->cycleCount() - cycles0;
+            det_insts += ran;
+            det_cycles += cyc;
+            sampler_->noteDetailed(ran, cyc);
+        }
+        const auto ff_cycles = static_cast<std::uint64_t>(
+            static_cast<double>(ff_insts) * sampler_->stats().cpi() +
+            0.5);
+        return RequestResult{kind, det_cycles + ff_cycles,
+                             det_insts + ff_insts};
     }
 
     const auto r =

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for sim::SampledExecution: spec parsing, the off-by-default
- * guarantee (disabled sampling is the exact path, byte for byte),
+ * Tests for sim::Sampler: spec parsing, the phase machine, pinned
+ * single-core sampled figures, the off-by-default guarantee
+ * (disabled sampling is the exact path, byte for byte),
  * accuracy of the extrapolated metrics against exact simulation on
  * the paper's steady-state profiles, determinism, and the lockstep
  * oracle across fast-forward/detail boundaries.
@@ -115,6 +116,229 @@ TEST(Sampled, SampledRunsAreDeterministic)
     const auto b = runArm(wl, enhancedMachine(), 10, 20,
                           testSample());
     EXPECT_EQ(renderJson(a, "arm"), renderJson(b, "arm"));
+}
+
+namespace
+{
+
+/** A parsed W:D:F spec. */
+sim::SampleParams
+spec(const char *text)
+{
+    sim::SampleParams sp;
+    EXPECT_TRUE(sim::SampleParams::parse(text, sp)) << text;
+    return sp;
+}
+
+/** A workbench with a call begun, ready to fast-forward. */
+struct PhaseBench
+{
+    workload::Workbench wb{workload::memcachedProfile(), baseMachine()};
+
+    PhaseBench() { wb.beginRequest(); }
+
+    sim::Sampler
+    sampler(const char *text)
+    {
+        return sim::Sampler(wb.core(), wb.image(), wb.linker(),
+                            spec(text));
+    }
+};
+
+} // namespace
+
+TEST(SamplerPhases, ZeroWarmupStartsInDetail)
+{
+    PhaseBench pb;
+    auto s = pb.sampler("0:5:7");
+    EXPECT_FALSE(s.inFastForward());
+    EXPECT_EQ(s.phaseLeft(), 5u);
+
+    s.noteDetailed(4, 40);
+    EXPECT_EQ(s.stats().detailInsts, 4u);
+    EXPECT_EQ(s.stats().warmupInsts, 0u);
+    EXPECT_EQ(s.stats().windows, 0u);
+    EXPECT_EQ(s.phaseLeft(), 1u);
+
+    s.noteDetailed(1, 10);
+    EXPECT_EQ(s.stats().detailCycles, 50u);
+    EXPECT_EQ(s.stats().windows, 1u);
+    EXPECT_TRUE(s.inFastForward());
+    EXPECT_EQ(s.phaseLeft(), 7u);
+
+    // With a warmup, the machine starts there instead.
+    auto w = pb.sampler("3:5:7");
+    EXPECT_FALSE(w.inFastForward());
+    EXPECT_EQ(w.phaseLeft(), 3u);
+    w.noteDetailed(3, 30);
+    EXPECT_EQ(w.stats().warmupInsts, 3u);
+    EXPECT_EQ(w.stats().warmupCycles, 30u);
+    EXPECT_EQ(w.stats().detailInsts, 0u);
+    EXPECT_EQ(w.phaseLeft(), 5u);
+}
+
+TEST(SamplerPhases, OvershootClampsToZeroAndMovesOn)
+{
+    // A detailed slice that retires past the boundary (a resolver
+    // bulk-add, or a scheduler quantum) ends the phase; the excess
+    // is accounted to the phase it ran in, not carried over.
+    PhaseBench pb;
+    auto s = pb.sampler("3:5:7");
+    s.noteDetailed(10, 100);
+    EXPECT_EQ(s.stats().warmupInsts, 10u);
+    EXPECT_EQ(s.stats().warmupCycles, 100u);
+    EXPECT_FALSE(s.inFastForward());
+    EXPECT_EQ(s.phaseLeft(), 5u);
+    s.noteDetailed(9, 90);
+    EXPECT_EQ(s.stats().detailInsts, 9u);
+    EXPECT_EQ(s.stats().windows, 1u);
+    EXPECT_TRUE(s.inFastForward());
+    EXPECT_EQ(s.phaseLeft(), 7u);
+}
+
+TEST(SamplerPhases, ResolverCostOvershootEndsFastForward)
+{
+    // Find how many functional steps the cold first call runs
+    // before its first lazy-resolver trap...
+    std::uint64_t before_trap = 0;
+    std::uint64_t cost = 0;
+    {
+        PhaseBench pb;
+        cost = pb.wb.core().params().resolverInsts;
+        auto s = pb.sampler("0:1:100000000");
+        s.noteDetailed(1, 1);
+        ASSERT_TRUE(s.inFastForward());
+        for (int i = 0; i < 1000000 && s.stats().ffResolverTraps == 0;
+             ++i)
+            ASSERT_FALSE(s.runFunctionalSlice(0, 1).done);
+        ASSERT_EQ(s.stats().ffResolverTraps, 1u);
+        ASSERT_GT(s.stats().ffInsts, cost);
+        before_trap = s.stats().ffInsts - cost;
+    }
+    // ...then end a fast-forward phase one instruction after it:
+    // the trap's synthetic cost overshoots, the phase clamps to 0
+    // and the machine re-enters its detailed phases.
+    PhaseBench pb;
+    const std::string text =
+        "2:1:" + std::to_string(before_trap + 1);
+    auto s = pb.sampler(text.c_str());
+    s.noteDetailed(2, 2);
+    s.noteDetailed(1, 1);
+    ASSERT_TRUE(s.inFastForward());
+    const auto sl = s.runFunctionalSlice(0, UINT64_MAX);
+    EXPECT_FALSE(sl.done);
+    EXPECT_EQ(sl.insts, before_trap + cost);
+    EXPECT_EQ(s.stats().ffInsts, before_trap + cost);
+    EXPECT_EQ(s.stats().ffResolverTraps, 1u);
+    EXPECT_FALSE(s.inFastForward());
+    EXPECT_EQ(s.phaseLeft(), 2u);
+}
+
+TEST(SamplerPhases, FastForwardWarmupDetailCountsOneWindowEach)
+{
+    PhaseBench pb;
+    auto s = pb.sampler("2:3:4");
+    s.noteDetailed(2, 20);
+    s.noteDetailed(3, 30);
+    ASSERT_EQ(s.stats().windows, 1u);
+    ASSERT_TRUE(s.inFastForward());
+
+    // A slice shorter than the phase leaves it in fast-forward.
+    auto sl = s.runFunctionalSlice(0, 1);
+    EXPECT_EQ(sl.insts, 1u);
+    EXPECT_FALSE(sl.done);
+    EXPECT_TRUE(s.inFastForward());
+    EXPECT_EQ(s.phaseLeft(), 3u);
+
+    // The rest of the phase, however large the slice budget.
+    sl = s.runFunctionalSlice(0, UINT64_MAX);
+    EXPECT_EQ(sl.insts, 3u);
+    EXPECT_EQ(s.stats().ffInsts, 4u);
+    EXPECT_FALSE(s.inFastForward());
+    EXPECT_EQ(s.phaseLeft(), 2u); // Warmup again.
+
+    s.noteDetailed(2, 20); // Warmup -> Detail.
+    EXPECT_EQ(s.stats().windows, 1u);
+    s.noteDetailed(1, 10); // Part of a window counts nothing.
+    EXPECT_EQ(s.stats().windows, 1u);
+    s.noteDetailed(2, 20); // Detail -> FastForward.
+    EXPECT_EQ(s.stats().windows, 2u);
+    EXPECT_TRUE(s.inFastForward());
+    EXPECT_EQ(s.stats().warmupInsts, 4u);
+    EXPECT_EQ(s.stats().detailInsts, 6u);
+    EXPECT_EQ(s.stats().detailCycles, 60u);
+}
+
+TEST(SamplerPhases, NoteDetailedIgnoredInFastForward)
+{
+    PhaseBench pb;
+    auto s = pb.sampler("0:1:5");
+    s.noteDetailed(1, 10);
+    ASSERT_TRUE(s.inFastForward());
+    const auto before = s.stats();
+    s.noteDetailed(100, 1000);
+    EXPECT_TRUE(s.inFastForward());
+    EXPECT_EQ(s.phaseLeft(), 5u);
+    EXPECT_EQ(s.stats().detailInsts, before.detailInsts);
+    EXPECT_EQ(s.stats().detailCycles, before.detailCycles);
+    EXPECT_EQ(s.stats().warmupInsts, before.warmupInsts);
+    EXPECT_EQ(s.stats().windows, before.windows);
+}
+
+namespace
+{
+
+/** Exact single-core sampled figures of one fixed run. */
+struct PinnedRun
+{
+    sim::SampledStats stats;
+    std::uint64_t cycles = 0;
+    std::uint64_t instructions = 0;
+};
+
+PinnedRun
+runPinned(bool blocks)
+{
+    // Cold start, so lazy binding traps in fast-forward as well as
+    // in detail windows; 40 requests cross dozens of phases.
+    auto mc = enhancedMachine();
+    mc.core.blockDispatch = blocks;
+    workload::Workbench wb(workload::memcachedProfile(7), mc);
+    sim::SampleParams sp;
+    EXPECT_TRUE(sim::SampleParams::parse("300:1200:4000", sp));
+    wb.setSampling(sp);
+    PinnedRun run;
+    for (int i = 0; i < 40; ++i) {
+        const auto r = wb.runRequest();
+        run.cycles += r.cycles;
+        run.instructions += r.instructions;
+    }
+    run.stats = wb.sampler()->stats();
+    return run;
+}
+
+} // namespace
+
+TEST(Sampled, SingleCoreSampledBytesArePinned)
+{
+    // Exact figures of one fixed sampled run: any change to the
+    // single-core caller (quantum stops at the phase boundary, one
+    // CPI read per call) shows up here. Block dispatch is
+    // timing-invisible, so both settings give the same figures.
+    for (const bool blocks : {true, false}) {
+        SCOPED_TRACE(blocks ? "blocks on" : "blocks off");
+        const auto run = runPinned(blocks);
+        const auto &ss = run.stats;
+        EXPECT_EQ(ss.windows, 360u);
+        EXPECT_EQ(ss.detailInsts, 433136u);
+        EXPECT_EQ(ss.detailCycles, 1375019u);
+        EXPECT_EQ(ss.warmupInsts, 108364u);
+        EXPECT_EQ(ss.warmupCycles, 387397u);
+        EXPECT_EQ(ss.ffInsts, 1440335u);
+        EXPECT_EQ(ss.ffResolverTraps, 22u);
+        EXPECT_EQ(run.cycles, 8597275u);
+        EXPECT_EQ(run.instructions, 1981835u);
+    }
 }
 
 TEST(Sampled, ExtrapolationTracksExactOnSteadyStateProfiles)

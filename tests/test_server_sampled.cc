@@ -2,7 +2,7 @@
  * @file
  * Tests for the PR-9 server measurement machinery: checkpointed
  * warm fan-out (Server::snapshot / restore / resetMeasurement /
- * reconfigure) and sampled server execution (ServerSampler).
+ * reconfigure) and sampled server execution (sim::Sampler).
  *
  * The contracts under test, in bench/server_traffic's terms:
  *

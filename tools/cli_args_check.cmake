@@ -1,10 +1,11 @@
-# dlsim_cli must reject a malformed option value with exit status 2
-# and a message naming the option, never fall back to a default.
-# Invoked by ctest as
+# A command-line binary (dlsim_cli, a bench) must reject a malformed
+# option value with exit status 2 and a message naming the option,
+# never fall back to a default. Invoked by ctest as
 #   cmake -DCLI=<binary> -DARGS=<args separated by |>
 #         -DEXPECT=<regex for stderr> -P <this file>
 
 string(REPLACE "|" ";" args "${ARGS}")
+get_filename_component(tool "${CLI}" NAME)
 execute_process(
     COMMAND "${CLI}" ${args}
     RESULT_VARIABLE rc
@@ -12,9 +13,9 @@ execute_process(
     ERROR_VARIABLE err)
 if(NOT rc EQUAL 2)
     message(FATAL_ERROR
-        "dlsim_cli ${args}: expected exit 2, got ${rc}\n${err}")
+        "${tool} ${args}: expected exit 2, got ${rc}\n${err}")
 endif()
 if(NOT err MATCHES "${EXPECT}")
     message(FATAL_ERROR
-        "dlsim_cli ${args}: stderr lacks '${EXPECT}':\n${err}")
+        "${tool} ${args}: stderr lacks '${EXPECT}':\n${err}")
 endif()
