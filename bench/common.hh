@@ -65,9 +65,6 @@ namespace dlsim::bench
  *                    alternate W detailed warmup + D detailed
  *                    measured + F functional fast-forward insts
  *   --seed N         workload RNG seed (default 42)
- *   --blocks 0|1     disable/enable basic-block dispatch in both
- *                    executors (default 1; purely a simulator-speed
- *                    knob, metrics are byte-identical either way)
  *   --bind-policy P  loader arm: lazy (default), now, stable
  *                    (memoized resolutions, no lazy traps), or
  *                    demand (demand-paged libraries). Changes the
@@ -110,7 +107,7 @@ class BenchArgs
         std::vector<bool> saw_extra(extras_.size(), false);
         bool saw_jobs = false, saw_json = false;
         bool saw_seed = false, saw_snap = false, saw_from = false;
-        bool saw_sample = false, saw_blocks = false;
+        bool saw_sample = false;
         bool saw_policy = false;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
@@ -153,16 +150,6 @@ class BenchArgs
                 if (i + 1 >= argc)
                     die("--seed requires a value");
                 seed_ = parseCount(arg, argv[++i], UINT64_MAX);
-            } else if (arg == "--blocks") {
-                if (saw_blocks)
-                    die("duplicate --blocks");
-                saw_blocks = true;
-                if (i + 1 >= argc)
-                    die("--blocks requires 0 or 1");
-                const std::string v = argv[++i];
-                if (v != "0" && v != "1")
-                    die("--blocks requires 0 or 1");
-                blocks_ = v == "1";
             } else if (arg == "--bind-policy") {
                 if (saw_policy)
                     die("duplicate --bind-policy");
@@ -219,7 +206,6 @@ class BenchArgs
 
     unsigned jobs() const { return jobs_; }
     bool quick() const { return quick_; }
-    bool blocks() const { return blocks_; }
     linker::BindPolicy bindPolicy() const { return bindPolicy_; }
     const sim::SampleParams &sample() const { return sample_; }
     std::uint64_t seed() const { return seed_; }
@@ -281,11 +267,6 @@ class BenchArgs
             "                   instructions; cycles are CPI "
             "extrapolations\n"
             "  --seed N         workload RNG seed (default 42)\n"
-            "  --blocks 0|1     disable/enable basic-block "
-            "dispatch in\n"
-            "                   both executors (default 1; "
-            "metrics are\n"
-            "                   byte-identical either way)\n"
             "  --bind-policy P  loader arm: lazy (default), now,\n"
             "                   stable (memoized resolutions, no "
             "lazy\n"
@@ -347,7 +328,6 @@ class BenchArgs
     std::string tool_;
     unsigned jobs_ = 0;
     bool quick_ = false;
-    bool blocks_ = true;
     linker::BindPolicy bindPolicy_ = linker::BindPolicy::Lazy;
     sim::SampleParams sample_;
     std::uint64_t seed_ = 42;
@@ -370,9 +350,9 @@ struct ArmResult
     /**
      * Block-translation-cache statistics from the image, for
      * wall-clock reporting. Deliberately NOT part of `registry`:
-     * they describe the simulator process (and are zero with
-     * --blocks 0), while the registry must stay byte-identical
-     * whichever dispatch engine ran.
+     * they describe the simulator process (and are zero under
+     * per-instruction dispatch), while the registry must stay
+     * byte-identical whichever dispatch engine ran.
      */
     std::uint64_t blockHits = 0;
     std::uint64_t blockBuilds = 0;

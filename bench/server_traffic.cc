@@ -17,10 +17,12 @@
  * (Server::snapshot), and then fans every arm × request-mix shard
  * out of that checkpoint over the JobRunner. Shard results merge in
  * submission order, so stdout and --json-out are byte-identical for
- * any --jobs value and for --blocks 0/1. With --sample W:D:F the
- * serving path runs sampled: detailed windows measure CPI, fast
- * forward executes functionally with kernel decisions exact and
- * cycle timing extrapolated. Wall-clock speed goes to stderr only.
+ * any --jobs value. The block cache is always on here; test_server
+ * and test_server_sampled check it against per-instruction dispatch.
+ * With --sample W:D:F the serving path runs sampled: detailed
+ * windows measure CPI, fast forward executes functionally with
+ * kernel decisions exact and cycle timing extrapolated. Wall-clock
+ * speed goes to stderr only.
  */
 
 #include "common.hh"
@@ -249,14 +251,12 @@ main(int argc, char **argv)
     wl.seed = args.seed();
 
     auto mc_base = baseMachine(args);
-    mc_base.core.blockDispatch = args.blocks();
     // Server configuration: ASID-tagged ABTB (§3.3) so the
     // context-switch storm does not wipe the skip unit — leaving
     // the coherence path (§3.2) as the mechanism that keeps
     // churned tenants correct.
     auto mc_enh = enhancedMachine(args);
     mc_enh.asidRetention = true;
-    mc_enh.core.blockDispatch = args.blocks();
 
     const auto prog =
         std::make_shared<const workload::BuiltProgram>(

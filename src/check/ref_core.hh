@@ -130,9 +130,10 @@ class RefCore
     /**
      * Select the fast-forward engine: block-chained (default) or
      * per-instruction. The two produce identical step counts, stop
-     * classifications, and architectural state; sim::Sampled-
-     * Execution ties this to the timing core's blockDispatch so one
-     * knob flips both executors.
+     * classifications, and architectural state; sim::Sampler ties
+     * this to the timing core's CoreParams::blockDispatch, so the
+     * tests' per-instruction reference is block-free in both
+     * executors.
      */
     void setBlockDispatch(bool on) { blocks_ = on; }
 

@@ -83,10 +83,10 @@ Core::initStack(Addr stack_top)
     state_.regs[isa::RegSp] = stack_top - 64;
 }
 
-// The three leaf functions of the block dispatcher's body loop are
-// called half a billion times on the fig5 grid; the call overhead
-// alone is measurable, and -O2 declines to inline them on size
-// grounds. Force the issue — they only have two call sites each.
+// The leaf functions of the block dispatcher's body loop are called
+// half a billion times on the fig5 grid; the call overhead alone is
+// measurable, and -O2 declines to inline them on size grounds. Force
+// the issue — each has only a handful of call sites.
 #if defined(__GNUC__)
 #define DLSIM_HOT_INLINE __attribute__((always_inline)) inline
 #else
@@ -255,6 +255,89 @@ Core::serviceResolver()
     }
 }
 
+DLSIM_HOT_INLINE Core::StoreEffect
+Core::execDataOp(const isa::Instruction &inst, Addr pc)
+{
+    auto &regs = state_.regs;
+    StoreEffect st;
+    // Memory ops set state_.pc first so a fault's diagnostic names
+    // the faulting op whichever loop is running.
+    switch (inst.op) {
+      case isa::Opcode::Nop:
+        break;
+      case isa::Opcode::IntAlu: {
+        const std::uint64_t b = inst.src2 == isa::NoReg
+                                    ? static_cast<std::uint64_t>(
+                                          inst.imm)
+                                    : regs[inst.src2];
+        regs[inst.dst] = aluEval(inst.alu, regs[inst.src1], b);
+        break;
+      }
+      case isa::Opcode::MovImm:
+        regs[inst.dst] = static_cast<std::uint64_t>(inst.imm);
+        break;
+      case isa::Opcode::Load:
+        state_.pc = pc;
+        regs[inst.dst] = readData(memAddr(inst));
+        break;
+      case isa::Opcode::Store:
+        state_.pc = pc;
+        st = {true, memAddr(inst), regs[inst.src1]};
+        writeData(st.addr, st.value);
+        break;
+      case isa::Opcode::Push:
+      case isa::Opcode::PushImm:
+        state_.pc = pc;
+        regs[isa::RegSp] -= 8;
+        st = {true, regs[isa::RegSp],
+              inst.op == isa::Opcode::Push
+                  ? regs[inst.src1]
+                  : static_cast<std::uint64_t>(inst.imm)};
+        writeData(st.addr, st.value);
+        break;
+      case isa::Opcode::Pop:
+        state_.pc = pc;
+        regs[inst.dst] = readData(regs[isa::RegSp]);
+        regs[isa::RegSp] += 8;
+        break;
+      case isa::Opcode::AbtbFlush:
+        if (skipUnit_)
+            skipUnit_->explicitFlush();
+        break;
+      default:
+        // Control transfers and Halt: stepT executes them itself,
+        // and the block builder never places them in a body.
+        break;
+    }
+    return st;
+}
+
+DLSIM_HOT_INLINE void
+Core::retireToSkipUnit(const StoreEffect &st, bool is_ctl,
+                       isa::Opcode op, Addr next, Addr load_src)
+{
+    if (!skipUnit_)
+        return;
+    if (st.did)
+        skipUnit_->retireStore(st.addr);
+    if (is_ctl)
+        skipUnit_->retireControl(op, next, load_src);
+    else if (!st.did)
+        skipUnit_->retireOther();
+}
+
+void
+Core::notifyRetire(RetireRecord rec, const StoreEffect &st)
+{
+    rec.didStore = st.did;
+    rec.storeAddr = st.addr;
+    rec.storeValue = st.value;
+    rec.cycle = cnt_.cycles;
+    rec.retireIndex = cnt_.instructions;
+    rec.state = &state_;
+    observer_->onRetire(rec);
+}
+
 template <bool Observed>
 void
 Core::stepT()
@@ -324,62 +407,12 @@ Core::stepT()
         predicted = predictor_.predictNext(inst, pc);
 
     auto &regs = state_.regs;
-    const auto effAddr = [&]() -> Addr {
-        return inst.memBase == isa::NoReg
-                   ? static_cast<Addr>(inst.imm)
-                   : regs[inst.memBase] +
-                         static_cast<Addr>(inst.imm);
-    };
-
     Addr next = fallthrough;
     bool redirected = false;
     Addr load_src = 0;
-    bool did_store = false;
-    Addr store_addr = 0;
-    std::uint64_t store_value = 0;
+    StoreEffect st;
 
     switch (inst.op) {
-      case isa::Opcode::Nop:
-        break;
-      case isa::Opcode::IntAlu: {
-        const std::uint64_t b = inst.src2 == isa::NoReg
-                                    ? static_cast<std::uint64_t>(
-                                          inst.imm)
-                                    : regs[inst.src2];
-        regs[inst.dst] = aluEval(inst.alu, regs[inst.src1], b);
-        break;
-      }
-      case isa::Opcode::MovImm:
-        regs[inst.dst] = static_cast<std::uint64_t>(inst.imm);
-        break;
-      case isa::Opcode::Load:
-        regs[inst.dst] = readData(effAddr());
-        break;
-      case isa::Opcode::Store: {
-        store_addr = effAddr();
-        store_value = regs[inst.src1];
-        writeData(store_addr, store_value);
-        did_store = true;
-        break;
-      }
-      case isa::Opcode::Push:
-        regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        store_value = regs[inst.src1];
-        writeData(store_addr, store_value);
-        did_store = true;
-        break;
-      case isa::Opcode::PushImm:
-        regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        store_value = static_cast<std::uint64_t>(inst.imm);
-        writeData(store_addr, store_value);
-        did_store = true;
-        break;
-      case isa::Opcode::Pop:
-        regs[inst.dst] = readData(regs[isa::RegSp]);
-        regs[isa::RegSp] += 8;
-        break;
       case isa::Opcode::CallRel:
       case isa::Opcode::CallIndReg:
       case isa::Opcode::CallIndMem: {
@@ -388,14 +421,12 @@ Core::stepT()
         } else if (inst.op == isa::Opcode::CallIndReg) {
             next = regs[inst.src1];
         } else {
-            load_src = effAddr();
+            load_src = memAddr(inst);
             next = readData(load_src);
         }
         regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        store_value = fallthrough;
-        writeData(store_addr, store_value);
-        did_store = true;
+        st = {true, regs[isa::RegSp], fallthrough};
+        writeData(st.addr, st.value);
         redirected = true;
         break;
       }
@@ -408,7 +439,7 @@ Core::stepT()
         redirected = true;
         break;
       case isa::Opcode::JmpIndMem:
-        load_src = effAddr();
+        load_src = memAddr(inst);
         next = readData(load_src);
         redirected = true;
         break;
@@ -428,9 +459,8 @@ Core::stepT()
       case isa::Opcode::Halt:
         state_.halted = true;
         break;
-      case isa::Opcode::AbtbFlush:
-        if (skipUnit_)
-            skipUnit_->explicitFlush();
+      default:
+        st = execDataOp(inst, pc);
         break;
     }
 
@@ -470,25 +500,16 @@ Core::stepT()
         predictor_.resolve(inst, pc, redirected, effective);
     }
 
-    // Retire hooks, in program order: the store side of a call
-    // retires before its control side arms the pattern detector.
-    if (skipUnit_) {
-        if (did_store)
-            skipUnit_->retireStore(store_addr);
-        if (is_ctl)
-            skipUnit_->retireControl(inst.op, next, load_src);
-        else if (!did_store)
-            skipUnit_->retireOther();
-    }
+    retireToSkipUnit(st, is_ctl, inst.op, next, load_src);
 
     // Retire-stream tracing (the Pin-collection analogue); same
     // store-before-control ordering as the live hooks.
     if (traceWriter_) {
-        if (did_store) {
+        if (st.did) {
             trace::TraceEvent ev;
             ev.kind = trace::EventKind::Store;
             ev.pc = pc;
-            ev.addr = store_addr;
+            ev.addr = st.addr;
             traceWriter_->append(ev);
         }
         trace::TraceEvent ev;
@@ -543,236 +564,68 @@ Core::stepT()
     }
 
     if constexpr (Observed) {
-        RetireRecord rec;
-        rec.pc = pc;
-        rec.op = inst.op;
-        rec.isControl = is_ctl;
-        rec.taken = redirected;
-        rec.nextPc = is_ctl ? next : fallthrough;
-        rec.effectivePc = is_ctl ? effective : fallthrough;
-        rec.substituted = substituted;
-        if (substituted) {
-            rec.subTrampoline = sub_entry.trampoline;
-            rec.subFunction = sub_entry.function;
-            rec.subGotAddr = sub_entry.gotAddr;
-        }
-        rec.didStore = did_store;
-        rec.storeAddr = store_addr;
-        rec.storeValue = store_value;
-        rec.loadSrc = load_src;
-        rec.cycle = cnt_.cycles;
-        rec.retireIndex = cnt_.instructions;
-        rec.state = &state_;
-        observer_->onRetire(rec);
+        // Non-control ops leave next == effective == fallthrough.
+        notifyRetire({.pc = pc,
+                      .op = inst.op,
+                      .isControl = is_ctl,
+                      .taken = redirected,
+                      .nextPc = next,
+                      .effectivePc = effective,
+                      .substituted = substituted,
+                      .subTrampoline = sub_entry.trampoline,
+                      .subFunction = sub_entry.function,
+                      .subGotAddr = sub_entry.gotAddr,
+                      .loadSrc = load_src},
+                     st);
     }
 }
 
 template <bool Observed>
-void
-Core::execBodyOpT(const linker::Image::BlockOp &op, bool repeat_line)
+DLSIM_HOT_INLINE void
+Core::execBodyOp(const linker::Image::BlockOp &op, bool repeat_line)
 {
     const isa::Instruction &inst = op.inst;
     const Addr pc = op.va;
-    state_.pc = pc; // faults and observers see the op's pc
-    const Addr fallthrough = pc + inst.size;
 
-    // First-touch fault of demand-paged text, as in stepT.
+    // First-touch fault of demand-paged text, as in stepT. Cycle
+    // additions commute with the unobserved loop's batched
+    // bookkeeping, so block-end counters stay byte-identical.
     if (params_.demandPaging)
         demandTouchFetch(pc);
 
-    // Fetch: the repeat-line case is a guaranteed itlb+l1i hit (see
-    // Hierarchy::fetchRepeat), which costs zero extra cycles — the
-    // same zero a full fetch() would return for it.
-    if (repeat_line)
-        hierarchy_.fetchRepeat();
-    else
-        cnt_.cycles += hierarchy_.fetch(pc, asid_).extraCycles;
-    if (++cnt_.issueSlot >= params_.issueWidth) {
-        ++cnt_.cycles;
-        cnt_.issueSlot = 0;
-    }
-    ++cnt_.instructions;
-    // Body ops can carry FlagPlt (the ARM prologue ALU ops and the
-    // x86 lazy-path pushes) but never FlagPltJmp: the PLT jump is a
-    // control transfer, i.e. a block terminator.
-    if (op.flags & linker::FlagPlt)
-        ++cnt_.trampolineInsts;
-
-    auto &regs = state_.regs;
-    const auto effAddr = [&]() -> Addr {
-        return inst.memBase == isa::NoReg
-                   ? static_cast<Addr>(inst.imm)
-                   : regs[inst.memBase] +
-                         static_cast<Addr>(inst.imm);
-    };
-
-    bool did_store = false;
-    Addr store_addr = 0;
-    std::uint64_t store_value = 0;
-
-    switch (inst.op) {
-      case isa::Opcode::Nop:
-        break;
-      case isa::Opcode::IntAlu: {
-        const std::uint64_t b = inst.src2 == isa::NoReg
-                                    ? static_cast<std::uint64_t>(
-                                          inst.imm)
-                                    : regs[inst.src2];
-        regs[inst.dst] = aluEval(inst.alu, regs[inst.src1], b);
-        break;
-      }
-      case isa::Opcode::MovImm:
-        regs[inst.dst] = static_cast<std::uint64_t>(inst.imm);
-        break;
-      case isa::Opcode::Load:
-        regs[inst.dst] = readData(effAddr());
-        break;
-      case isa::Opcode::Store: {
-        store_addr = effAddr();
-        store_value = regs[inst.src1];
-        writeData(store_addr, store_value);
-        did_store = true;
-        break;
-      }
-      case isa::Opcode::Push:
-        regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        store_value = regs[inst.src1];
-        writeData(store_addr, store_value);
-        did_store = true;
-        break;
-      case isa::Opcode::PushImm:
-        regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        store_value = static_cast<std::uint64_t>(inst.imm);
-        writeData(store_addr, store_value);
-        did_store = true;
-        break;
-      case isa::Opcode::Pop:
-        regs[inst.dst] = readData(regs[isa::RegSp]);
-        regs[isa::RegSp] += 8;
-        break;
-      case isa::Opcode::AbtbFlush:
-        if (skipUnit_)
-            skipUnit_->explicitFlush();
-        break;
-      default:
-        // Control transfers and Halt end blocks; the builder never
-        // places them in a body.
-        break;
-    }
-
-    // Retire hooks — the non-control subset of stepT's ordering.
-    if (skipUnit_) {
-        if (did_store)
-            skipUnit_->retireStore(store_addr);
-        else
-            skipUnit_->retireOther();
-    }
-
-    state_.pc = fallthrough;
-
     if constexpr (Observed) {
-        RetireRecord rec;
-        rec.pc = pc;
-        rec.op = inst.op;
-        rec.isControl = false;
-        rec.taken = false;
-        rec.nextPc = fallthrough;
-        rec.effectivePc = fallthrough;
-        rec.substituted = false;
-        rec.didStore = did_store;
-        rec.storeAddr = store_addr;
-        rec.storeValue = store_value;
-        rec.loadSrc = 0;
-        rec.cycle = cnt_.cycles;
-        rec.retireIndex = cnt_.instructions;
-        rec.state = &state_;
-        observer_->onRetire(rec);
-    }
-}
-
-DLSIM_HOT_INLINE void
-Core::execBodyOpFast(const linker::Image::BlockOp &op)
-{
-    const isa::Instruction &inst = op.inst;
-    // First-touch fault of demand-paged text, as in stepT. Cycle
-    // additions commute with the block loop's batched bookkeeping,
-    // so block-end counters stay byte-identical to the per-op path.
-    if (params_.demandPaging)
-        demandTouchFetch(op.va);
-    auto &regs = state_.regs;
-    const auto effAddr = [&]() -> Addr {
-        return inst.memBase == isa::NoReg
-                   ? static_cast<Addr>(inst.imm)
-                   : regs[inst.memBase] +
-                         static_cast<Addr>(inst.imm);
-    };
-
-    bool did_store = false;
-    Addr store_addr = 0;
-
-    // Memory ops set state_.pc first so a fault's diagnostic names
-    // the faulting op, exactly as the per-op path would.
-    switch (inst.op) {
-      case isa::Opcode::Nop:
-        break;
-      case isa::Opcode::IntAlu: {
-        const std::uint64_t b = inst.src2 == isa::NoReg
-                                    ? static_cast<std::uint64_t>(
-                                          inst.imm)
-                                    : regs[inst.src2];
-        regs[inst.dst] = aluEval(inst.alu, regs[inst.src1], b);
-        break;
-      }
-      case isa::Opcode::MovImm:
-        regs[inst.dst] = static_cast<std::uint64_t>(inst.imm);
-        break;
-      case isa::Opcode::Load:
-        state_.pc = op.va;
-        regs[inst.dst] = readData(effAddr());
-        break;
-      case isa::Opcode::Store:
-        state_.pc = op.va;
-        store_addr = effAddr();
-        writeData(store_addr, regs[inst.src1]);
-        did_store = true;
-        break;
-      case isa::Opcode::Push:
-        state_.pc = op.va;
-        regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        writeData(store_addr, regs[inst.src1]);
-        did_store = true;
-        break;
-      case isa::Opcode::PushImm:
-        state_.pc = op.va;
-        regs[isa::RegSp] -= 8;
-        store_addr = regs[isa::RegSp];
-        writeData(store_addr,
-                  static_cast<std::uint64_t>(inst.imm));
-        did_store = true;
-        break;
-      case isa::Opcode::Pop:
-        state_.pc = op.va;
-        regs[inst.dst] = readData(regs[isa::RegSp]);
-        regs[isa::RegSp] += 8;
-        break;
-      case isa::Opcode::AbtbFlush:
-        if (skipUnit_)
-            skipUnit_->explicitFlush();
-        break;
-      default:
-        break;
+        // Fetch: the repeat-line case is a guaranteed itlb+l1i hit
+        // (see Hierarchy::fetchRepeat), which costs zero extra
+        // cycles — the same zero a full fetch() would return for it.
+        if (repeat_line)
+            hierarchy_.fetchRepeat();
+        else
+            cnt_.cycles += hierarchy_.fetch(pc, asid_).extraCycles;
+        if (++cnt_.issueSlot >= params_.issueWidth) {
+            ++cnt_.cycles;
+            cnt_.issueSlot = 0;
+        }
+        ++cnt_.instructions;
+        // Body ops can carry FlagPlt (the ARM prologue ALU ops and
+        // the x86 lazy-path pushes) but never FlagPltJmp: the PLT
+        // jump is a control transfer, i.e. a block terminator.
+        if (op.flags & linker::FlagPlt)
+            ++cnt_.trampolineInsts;
     }
 
+    const StoreEffect st = execDataOp(inst, pc);
     // Retire hooks stay per-op: the bloom filter and the ABTB's
     // store snooping are order-sensitive.
-    if (skipUnit_) {
-        if (did_store)
-            skipUnit_->retireStore(store_addr);
-        else
-            skipUnit_->retireOther();
+    retireToSkipUnit(st, false, inst.op, 0, 0);
+
+    if constexpr (Observed) {
+        const Addr fallthrough = pc + inst.size;
+        state_.pc = fallthrough;
+        notifyRetire({.pc = pc,
+                      .op = inst.op,
+                      .nextPc = fallthrough,
+                      .effectivePc = fallthrough},
+                     st);
     }
 }
 
@@ -856,7 +709,7 @@ Core::runBlockLoopT(std::uint64_t max_insts)
                 const bool repeat =
                     fast_fetch && i != 0 &&
                     ((ops[i].va ^ ops[i - 1].va) >> line_shift) == 0;
-                execBodyOpT<Observed>(ops[i], repeat);
+                execBodyOp<true>(ops[i], repeat);
             }
         } else {
             // Bulk bookkeeping for the whole straight-line run. Each
@@ -883,7 +736,7 @@ Core::runBlockLoopT(std::uint64_t max_insts)
                     cnt_.cycles +=
                         hierarchy_.fetch(ops[i].va, asid_)
                             .extraCycles;
-                    execBodyOpFast(ops[i]);
+                    execBodyOp<false>(ops[i], false);
                 }
             } else {
                 // Body VAs are sequential, so same-line ops form
@@ -911,7 +764,7 @@ Core::runBlockLoopT(std::uint64_t max_insts)
                             memo = {line, hierarchy_.fetchRef()};
                         }
                         last_line = line;
-                        execBodyOpFast(ops[i]);
+                        execBodyOp<false>(ops[i], false);
                         ++i;
                     } else {
                         std::uint32_t j = i + 1;
@@ -920,7 +773,7 @@ Core::runBlockLoopT(std::uint64_t max_insts)
                             ++j;
                         hierarchy_.fetchRepeatN(j - i);
                         for (; i < j; ++i)
-                            execBodyOpFast(ops[i]);
+                            execBodyOp<false>(ops[i], false);
                     }
                 }
             }

@@ -178,7 +178,10 @@ struct CoreParams
      * a time. Purely a simulator-speed knob: counters, timing, and
      * every architectural observable are byte-identical either way
      * (tests/test_block_dispatch.cc), so it is excluded from the
-     * snapshot configuration fingerprints. Trace recording
+     * snapshot configuration fingerprints. No command-line flag
+     * sets it: the benches and dlsim_cli always run with it on;
+     * tests (and bench_wallclock's serial.noblocks row) turn it off
+     * to check against the per-instruction loop. Trace recording
      * (tracePath) forces the per-instruction loop regardless.
      */
     bool blockDispatch = true;
@@ -305,7 +308,8 @@ class Core
     const CoreParams &params() const { return params_; }
     linker::Image *image() { return image_; }
 
-    /** Toggle block dispatch (reconfigure/bench --blocks). Takes
+    /** Toggle block dispatch (Workbench::reconfigure and the
+     *  multicore set-up copy CoreParams::blockDispatch here). Takes
      *  effect at the next run() call; safe at any quantum boundary
      *  since the two loops are observably identical. */
     void setBlockDispatch(bool on) { params_.blockDispatch = on; }
@@ -392,29 +396,66 @@ class Core
 
     /**
      * Block dispatcher: one block-cache lookup per straight-line
-     * run, body ops executed by the lean execBodyOpT, the
-     * terminator delegated to stepT (which keeps prediction, ABTB
+     * run, body ops executed by execBodyOp, the terminator
+     * delegated to stepT (which keeps prediction, ABTB
      * substitution, and mispredict accounting in one place).
      * Byte-identical observables to runLoopT.
      */
     template <bool Observed>
     std::uint64_t runBlockLoopT(std::uint64_t max_insts);
 
-    /** Execute one non-control block-body op; exact replica of the
-     *  stepT path for the non-control opcode subset. `repeat_line`
-     *  selects the hierarchy's repeat-fetch fast path. */
-    template <bool Observed>
-    void execBodyOpT(const linker::Image::BlockOp &op,
-                     bool repeat_line);
+    /** The store a data op made (`did` false: none). */
+    struct StoreEffect
+    {
+        bool did = false;
+        Addr addr = 0;
+        std::uint64_t value = 0;
+    };
 
     /**
-     * Leaner still: the unobserved block loop hoists the fetch,
-     * issue-slot, instruction-count, and pc bookkeeping out of the
-     * per-op body (batched per straight-line run), leaving only the
-     * architectural side effects. Counters and state after a block
-     * are byte-identical to the execBodyOpT sequence.
+     * The ISA semantics of every non-control opcode, shared by stepT
+     * and the block body loop. Sets state_.pc to `pc` before any
+     * memory access so a fault names the faulting op; touches no
+     * counter beyond those of the data path.
      */
-    void execBodyOpFast(const linker::Image::BlockOp &op);
+    StoreEffect execDataOp(const isa::Instruction &inst, Addr pc);
+
+    /**
+     * Execute one non-control block-body op. Observed: the full
+     * per-op retire (fetch — `repeat_line` selects the hierarchy's
+     * repeat-fetch fast path — issue slot, counters, pc, and the
+     * RetireRecord). Unobserved: runBlockLoopT batches the fetch,
+     * issue-slot, instruction-count, and pc bookkeeping per
+     * straight-line run, leaving only the architectural side
+     * effects and the skip-unit hooks here; counters and state after
+     * a block are byte-identical to the observed sequence.
+     */
+    template <bool Observed>
+    void execBodyOp(const linker::Image::BlockOp &op,
+                    bool repeat_line);
+
+    /** Skip-unit retire hooks of one instruction, in program order:
+     *  the store side of a call retires before its control side arms
+     *  the pattern detector. */
+    void retireToSkipUnit(const StoreEffect &st, bool is_ctl,
+                          isa::Opcode op, Addr next, Addr load_src);
+
+    /** Publish one retired instruction to the observer: `rec` holds
+     *  the instruction's own fields, this adds the store, the
+     *  counters, and the post-retire state. */
+    void notifyRetire(RetireRecord rec, const StoreEffect &st);
+
+    /** Effective address of a memory operand (base + imm, or the
+     *  absolute imm when there is no base register). */
+    Addr
+    memAddr(const isa::Instruction &inst) const
+    {
+        return inst.memBase == isa::NoReg
+                   ? static_cast<Addr>(inst.imm)
+                   : state_.regs[inst.memBase] +
+                         static_cast<Addr>(inst.imm);
+    }
+
     void serviceResolver();
 
     std::uint64_t readData(Addr addr);

@@ -106,8 +106,9 @@ Sampler::Sampler(std::vector<cpu::Core *> cores,
     for (const cpu::Core *c : cores_) {
         auto ref = std::make_unique<check::RefCore>(
             &image, &image.addressSpace());
-        // One knob drives both executors: a --blocks 0 run must be
-        // block-free in the fast-forward phases too.
+        // One knob drives both executors: a core built with
+        // CoreParams::blockDispatch off (the tests' per-instruction
+        // reference) must be block-free in fast-forward too.
         ref->setBlockDispatch(c->params().blockDispatch);
         refs_.push_back(std::move(ref));
     }

@@ -299,10 +299,10 @@ rowFromServer(const os::Server &server, double seconds)
 ServerRow
 runServerRow(const BenchArgs &args,
              const workload::WorkloadParams &wl,
-             workload::MachineConfig mc, std::uint64_t requests,
+             const workload::MachineConfig &mc,
+             std::uint64_t requests,
              const sim::SampleParams &sample = {})
 {
-    mc.core.blockDispatch = args.blocks();
     const auto start = std::chrono::steady_clock::now();
     workload::Workbench wb(wl, mc);
     os::Server server(wb, serverCores(mc),
@@ -337,10 +337,8 @@ runServerFanout(const BenchArgs &args,
 {
     const auto start = std::chrono::steady_clock::now();
     auto mc_base = baseMachine();
-    mc_base.core.blockDispatch = args.blocks();
     auto mc_enh = enhancedMachine();
     mc_enh.asidRetention = true;
-    mc_enh.core.blockDispatch = args.blocks();
 
     // Same topology and churn cadence as the cold rows; the warm
     // budget gets the usual headroom so no client runs dry before
@@ -410,10 +408,9 @@ main(int argc, char **argv)
 
     const SharedPrograms shared = buildShared(args);
 
-    const auto serial = runGrid(args, 1, shared, {}, args.blocks());
+    const auto serial = runGrid(args, 1, shared);
     std::printf("serial   (--jobs 1): %.3f s\n", serial.seconds);
-    const auto parallel =
-        runGrid(args, jobs, shared, {}, args.blocks());
+    const auto parallel = runGrid(args, jobs, shared);
     std::printf("parallel (--jobs %u): %.3f s\n", jobs,
                 parallel.seconds);
 
@@ -522,8 +519,7 @@ main(int argc, char **argv)
         // the trade-off.
         sim::SampleParams::parse("20000:20000:300000", sample);
     }
-    const auto sampled =
-        runGrid(args, jobs, shared, sample, args.blocks());
+    const auto sampled = runGrid(args, jobs, shared, sample);
     std::printf("sampled  (--jobs %u, %s): %.3f s\n", jobs,
                 sample.spec().c_str(), sampled.seconds);
     const double sampledSpeedup =
@@ -634,7 +630,7 @@ main(int argc, char **argv)
     auto &serialRun = doc.addRun("serial");
     serialRun.with("grid", grid_desc)
         .with("jobs", "1")
-        .with("blocks", args.blocks() ? "1" : "0");
+        .with("blocks", "1");
     serialRun.registry.gauge("dlsim.wallclock.seconds",
                              serial.seconds);
     serialRun.registry.counter("dlsim.linker.blockcache.hits",

@@ -27,12 +27,15 @@
  *                     [--seed N]
  */
 
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "sim/sampled.hh"
 #include "workload/engine.hh"
@@ -66,6 +69,31 @@ usage(int code)
         "dispatch off and on. Wall-clock-based: run on an idle\n"
         "host; not a correctness test.\n");
     std::exit(code);
+}
+
+/**
+ * The value of option `flag` as an unsigned decimal no larger than
+ * `max`; anything else (sign, suffix, overflow, empty) exits 2 with
+ * a message naming the option — the rule BenchArgs and dlsim_cli
+ * apply.
+ */
+std::uint64_t
+parseCount(const std::string &flag, const char *text,
+           std::uint64_t max)
+{
+    const std::string_view v = text;
+    std::uint64_t out = 0;
+    const auto [end, ec] =
+        std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc{} || end != v.data() + v.size() || out > max) {
+        std::fprintf(stderr,
+                     "dlsim_ubench: %s: '%s' is not a count in "
+                     "[0, %llu]\n",
+                     flag.c_str(), text,
+                     static_cast<unsigned long long>(max));
+        usage(2);
+    }
+    return out;
 }
 
 struct ModeResult
@@ -137,12 +165,13 @@ main(int argc, char **argv)
         else if (arg == "--profile")
             opt.profile = value();
         else if (arg == "--warmup")
-            opt.warmup = std::atoi(value());
+            opt.warmup =
+                static_cast<int>(parseCount(arg, value(), INT_MAX));
         else if (arg == "--requests")
-            opt.requests = std::atoi(value());
+            opt.requests =
+                static_cast<int>(parseCount(arg, value(), INT_MAX));
         else if (arg == "--seed")
-            opt.seed =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            opt.seed = parseCount(arg, value(), UINT64_MAX);
         else {
             std::fprintf(stderr,
                          "dlsim_ubench: unknown argument '%s'\n",
@@ -150,10 +179,9 @@ main(int argc, char **argv)
             usage(2);
         }
     }
-    if (opt.warmup < 0 || opt.requests < 1) {
+    if (opt.requests < 1) {
         std::fprintf(stderr,
-                     "dlsim_ubench: --warmup must be >= 0 and "
-                     "--requests >= 1\n");
+                     "dlsim_ubench: --requests must be >= 1\n");
         return 2;
     }
 
