@@ -22,7 +22,6 @@
 #define DLSIM_BENCH_COMMON_HH
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -31,10 +30,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "parse_count.hh"
 #include "sim/job_runner.hh"
 #include "sim/sampled.hh"
 #include "snapshot/format.hh"
@@ -104,6 +103,63 @@ class BenchArgs
               std::vector<ExtraFlag> extras)
         : tool_(tool), extras_(std::move(extras))
     {
+        // parseCount and parseBindPolicy throw on a malformed value.
+        try {
+            parse(argc, argv);
+        } catch (const std::invalid_argument &e) {
+            die(e.what());
+        }
+        if (jobs_ == 0)
+            jobs_ = sim::JobRunner::defaultJobs();
+    }
+
+    /**
+     * Every flag at its default, apart from --quick: for a tool that
+     * runs bench grids without taking a bench command line.
+     */
+    BenchArgs(const char *tool, bool quick)
+        : tool_(tool), jobs_(sim::JobRunner::defaultJobs()),
+          quick_(quick)
+    {
+    }
+
+    unsigned jobs() const { return jobs_; }
+    bool quick() const { return quick_; }
+    linker::BindPolicy bindPolicy() const { return bindPolicy_; }
+    const sim::SampleParams &sample() const { return sample_; }
+    std::uint64_t seed() const { return seed_; }
+    const std::string &jsonOut() const { return jsonOut_; }
+    const std::string &snapshotAfter() const
+    {
+        return snapshotAfter_;
+    }
+    const std::string &fromSnapshot() const
+    {
+        return fromSnapshot_;
+    }
+    const std::string &tool() const { return tool_; }
+
+    /** Scale a warmup/request count for --quick runs. */
+    int
+    scaled(int n) const
+    {
+        return quick_ ? std::max(1, n / 8) : n;
+    }
+
+    /** Value of a registered ExtraFlag (default or parsed). */
+    long long
+    extra(const char *name) const
+    {
+        for (const ExtraFlag &e : extras_)
+            if (std::string(e.name) == name)
+                return e.value;
+        std::abort(); // Flag was never registered: caller bug.
+    }
+
+  private:
+    void
+    parse(int argc, char **argv)
+    {
         std::vector<bool> saw_extra(extras_.size(), false);
         bool saw_jobs = false, saw_json = false;
         bool saw_seed = false, saw_snap = false, saw_from = false;
@@ -156,12 +212,7 @@ class BenchArgs
                 saw_policy = true;
                 if (i + 1 >= argc)
                     die("--bind-policy requires a name");
-                try {
-                    bindPolicy_ =
-                        linker::parseBindPolicy(argv[++i]);
-                } catch (const std::exception &e) {
-                    die(e.what());
-                }
+                bindPolicy_ = linker::parseBindPolicy(argv[++i]);
             } else if (arg == "--json-out") {
                 if (saw_json)
                     die("duplicate --json-out");
@@ -200,44 +251,8 @@ class BenchArgs
                     parseCount(arg, argv[++i], LLONG_MAX));
             }
         }
-        if (jobs_ == 0)
-            jobs_ = sim::JobRunner::defaultJobs();
     }
 
-    unsigned jobs() const { return jobs_; }
-    bool quick() const { return quick_; }
-    linker::BindPolicy bindPolicy() const { return bindPolicy_; }
-    const sim::SampleParams &sample() const { return sample_; }
-    std::uint64_t seed() const { return seed_; }
-    const std::string &jsonOut() const { return jsonOut_; }
-    const std::string &snapshotAfter() const
-    {
-        return snapshotAfter_;
-    }
-    const std::string &fromSnapshot() const
-    {
-        return fromSnapshot_;
-    }
-    const std::string &tool() const { return tool_; }
-
-    /** Scale a warmup/request count for --quick runs. */
-    int
-    scaled(int n) const
-    {
-        return quick_ ? std::max(1, n / 8) : n;
-    }
-
-    /** Value of a registered ExtraFlag (default or parsed). */
-    long long
-    extra(const char *name) const
-    {
-        for (const ExtraFlag &e : extras_)
-            if (std::string(e.name) == name)
-                return e.value;
-        std::abort(); // Flag was never registered: caller bug.
-    }
-
-  private:
     void
     printHelp(std::FILE *to) const
     {
@@ -292,29 +307,6 @@ class BenchArgs
         for (const ExtraFlag &e : extras_)
             std::fprintf(to, "  --%-14s %s (default %lld)\n",
                          e.name, e.help, e.value);
-    }
-
-    /**
-     * The value of option `flag` as an unsigned decimal no larger
-     * than `max`; anything else (sign, suffix, overflow, empty)
-     * dies with exit 2 and a message naming the flag.
-     */
-    std::uint64_t
-    parseCount(const std::string &flag, const char *text,
-               std::uint64_t max) const
-    {
-        const std::string_view v = text;
-        std::uint64_t out = 0;
-        const auto [end, ec] =
-            std::from_chars(v.data(), v.data() + v.size(), out);
-        if (ec != std::errc{} || end != v.data() + v.size() ||
-            out > max) {
-            die((flag + ": '" + std::string(v) +
-                 "' is not a count in [0, " + std::to_string(max) +
-                 "]")
-                    .c_str());
-        }
-        return out;
     }
 
     [[noreturn]] void

@@ -9,7 +9,7 @@
  * steep slopes reveal per-workload ABTB "working sets".
  */
 
-#include "common.hh"
+#include "figures.hh"
 
 using namespace dlsim;
 using namespace dlsim::bench;
@@ -37,85 +37,25 @@ main(int argc, char **argv)
            "Sections 5.3, Figure 5");
     JsonOut json("fig5_abtb_sweep", args);
 
-    // Firefox lazily binds thousands of symbols; each first call
-    // ends in a GOT store that flushes the ABTB ("once per library
-    // call, at the start" — §3.2). A long warmup amortises that
-    // startup phase, as the paper's 10-minute runs did.
-    const char *profiles[] = {"apache", "firefox", "memcached"};
-    const int warmups[] = {300, 1200, 150};
-    const int requests[] = {400, 250, 350};
-    const std::uint32_t sizes[] = {1u,  2u,   4u,   8u,
-                                   16u, 32u,  64u,  128u,
-                                   256u, 512u, 1024u};
-
-    // Warm-up-once: each workload warms a single reference machine
-    // and is checkpointed; every ABTB size then fans out from those
-    // bytes with a fresh cold skip unit of its own geometry. The 11
-    // sizes share one warm-up instead of simulating it 11 times
-    // (and --from-snapshot skips it entirely).
-    workload::MachineConfig refMc = enhancedMachine(args);
-    workload::WorkloadParams wls[3];
-    std::shared_ptr<const workload::BuiltProgram> progs[3];
-    std::vector<std::uint8_t> states[3];
-    for (int i = 0; i < 3; ++i) {
-        wls[i] = workload::profileByName(profiles[i]);
-        wls[i].seed = args.seed();
-        progs[i] = std::make_shared<const workload::BuiltProgram>(
-            workload::buildProgram(wls[i]));
-        states[i] = warmState(args, profiles[i], wls[i], refMc,
-                              args.scaled(warmups[i]), progs[i]);
-    }
-
-    // One job per (size, workload) cell; the whole grid runs on
-    // --jobs threads and is consumed below in submission order.
-    struct Cell
-    {
-        std::uint32_t entries;
-        int profile;
-    };
-    std::vector<Cell> cells;
-    for (const std::uint32_t entries : sizes)
-        for (int i = 0; i < 3; ++i)
-            cells.push_back({entries, i});
-
-    std::vector<std::function<ArmResult()>> work;
-    work.reserve(cells.size());
-    for (const Cell &cell : cells) {
-        work.push_back([cell, &args, &refMc, &wls, &progs,
-                        &states, &requests] {
-            workload::MachineConfig mc = enhancedMachine(args);
-            mc.abtbEntries = cell.entries;
-            mc.abtbAssoc = std::min(cell.entries, 4u);
-            return runArmFromState(
-                states[cell.profile], wls[cell.profile], refMc,
-                mc, args.scaled(requests[cell.profile]),
-                args.sample(), progs[cell.profile]);
-        });
-    }
-    const auto arms = runJobs(args, std::move(work));
+    // Warm once per workload, then fan every ABTB size out of the
+    // checkpoint (--from-snapshot skips the warm-ups entirely).
+    const auto arms = runFig5(args, args.bindPolicy(), fig5Sizes);
 
     stats::TablePrinter table({"Entries", "Bytes", "apache",
                                "firefox", "memcached"});
-    for (std::size_t c = 0; c < cells.size(); c += 3) {
-        const std::uint32_t entries = cells[c].entries;
+    std::size_t cell = 0;
+    for (const std::uint32_t entries : fig5Sizes) {
         std::vector<std::string> row{
             std::to_string(entries),
             std::to_string(entries * core::AbtbEntryBytes)};
-        for (int i = 0; i < 3; ++i) {
-            const ArmResult &arm = arms[c + i];
-            json.add(std::string(profiles[i]) + ".entries" +
+        for (const GridWorkload &w : fig5Workloads) {
+            const ArmResult &arm = arms[cell++];
+            json.add(std::string(w.name) + ".entries" +
                          std::to_string(entries),
                      arm,
-                     withSampleContext(
-                         args,
-                         {{"workload", profiles[i]},
-                          {"machine", "enhanced"},
-                          {"abtb_entries",
-                           std::to_string(entries)},
-                          {"seed", std::to_string(args.seed())},
-                          {"requests",
-                           std::to_string(
-                               args.scaled(requests[i]))}}));
+                     gridContext(args, w,
+                                 fig5Machine(args.bindPolicy(),
+                                             entries)));
             row.push_back(stats::TablePrinter::num(skipRate(arm),
                                                    1) +
                           "%");

@@ -10,7 +10,7 @@
  * misses disappear entirely.
  */
 
-#include "common.hh"
+#include "figures.hh"
 
 using namespace dlsim;
 using namespace dlsim::bench;
@@ -18,12 +18,10 @@ using namespace dlsim::bench;
 namespace
 {
 
+/** The paper's Table 4 values, in table4Workloads order. */
 struct PaperRow
 {
-    const char *name;
-    double icB, icE, itlbB, itlbE, dcB, dcE, dtlbB, dtlbE, brB,
-        brE;
-    int requests;
+    double icB, icE, itlbB, itlbE, dcB, dcE, dtlbB, dtlbE, brB, brE;
 };
 
 } // namespace
@@ -38,56 +36,35 @@ main(int argc, char **argv)
     JsonOut json("table4_microarch_counters", args);
 
     const PaperRow rows[] = {
-        {"apache", 109.31, 104.22, 1.78, 1.18, 7.96, 7.56, 4.03,
-         4.62, 13.46, 12.32, 900},
-        {"firefox", 10.70, 10.38, 0.87, 0.79, 2.66, 2.67, 1.54,
-         1.75, 4.84, 4.77, 450},
-        {"memcached", 51.99, 51.42, 0.03, 0.00, 12.25, 12.16,
-         4.74, 4.73, 5.48, 5.30, 600},
-        {"mysql", 25.21, 24.93, 2.41, 2.36, 8.48, 8.46, 2.86,
-         2.77, 14.44, 14.40, 700},
+        {109.31, 104.22, 1.78, 1.18, 7.96, 7.56, 4.03, 4.62, 13.46,
+         12.32},
+        {10.70, 10.38, 0.87, 0.79, 2.66, 2.67, 1.54, 1.75, 4.84,
+         4.77},
+        {51.99, 51.42, 0.03, 0.00, 12.25, 12.16, 4.74, 4.73, 5.48,
+         5.30},
+        {25.21, 24.93, 2.41, 2.36, 8.48, 8.46, 2.86, 2.77, 14.44,
+         14.40},
     };
+    static_assert(std::size(rows) == std::size(table4Workloads));
 
-    // Two jobs (base, enhanced) per workload, interleaved so the
-    // results land as [base0, enh0, base1, enh1, ...].
-    std::vector<std::function<ArmResult()>> work;
-    for (const PaperRow &row : rows) {
-        for (const bool enhanced : {false, true}) {
-            work.push_back([&row, enhanced, &args] {
-                auto wl = workload::profileByName(row.name);
-                wl.seed = args.seed();
-                return runArm(wl,
-                              enhanced ? enhancedMachine(args)
-                                       : baseMachine(args),
-                              args.scaled(150),
-                              args.scaled(row.requests),
-                              args.sample());
-            });
-        }
-    }
-    const auto arms = runJobs(args, std::move(work));
+    const std::vector<workload::MachineConfig> machines = {
+        baseMachine(args), enhancedMachine(args)};
+    const auto arms = runTable4(args, machines);
 
     for (std::size_t i = 0; i < std::size(rows); ++i) {
+        const GridWorkload &w = table4Workloads[i];
         const PaperRow &row = rows[i];
         const ArmResult &base = arms[2 * i];
         const ArmResult &enh = arms[2 * i + 1];
         const auto &b = base.counters;
         const auto &e = enh.counters;
-        const auto requests =
-            std::to_string(args.scaled(row.requests));
 
-        json.add(std::string(row.name) + ".base", base,
-                 withSampleContext(args,
-                                   {{"workload", row.name},
-                                    {"machine", "base"},
-                                    {"requests", requests}}));
-        json.add(std::string(row.name) + ".enhanced", enh,
-                 withSampleContext(args,
-                                   {{"workload", row.name},
-                                    {"machine", "enhanced"},
-                                    {"requests", requests}}));
+        json.add(std::string(w.name) + ".base", base,
+                 gridContext(args, w, machines[0]));
+        json.add(std::string(w.name) + ".enhanced", enh,
+                 gridContext(args, w, machines[1]));
 
-        std::printf("--- %s ---\n", row.name);
+        std::printf("--- %s ---\n", w.name);
         stats::TablePrinter t({"Counter PKI", "Base", "Enhanced",
                                "Paper base", "Paper enhanced"});
         auto add = [&](const char *name, double mb, double me,

@@ -7,9 +7,12 @@
  * Usage:
  *   bench_to_json [--quick] [--out-dir DIR]
  *
- * --quick shrinks warmup/request counts and the ABTB sweep so the
- * tool finishes in a few seconds (used by the ctest smoke test);
- * the full run matches the standalone benches' calibrations.
+ * The grids are the benches' own (bench/figures.hh), run on the
+ * thread pool with the default job count: every `<w>.entries<N>`
+ * run equals fig5_abtb_sweep's and every `<w>.base`/`<w>.enhanced`
+ * run equals table4_microarch_counters' at the same --quick
+ * setting. On top, each document carries the software-baseline
+ * policy arms `<w>.stable` and `<w>.demand` through the same grids.
  *
  * The tool self-validates: it re-reads each written file, runs the
  * strict JSON validator over it, and checks that the required
@@ -24,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "common.hh"
+#include "figures.hh"
 #include "stats/json_writer.hh"
 
 using namespace dlsim;
@@ -33,129 +36,70 @@ using namespace dlsim::bench;
 namespace
 {
 
-struct Calibration
-{
-    const char *name;
-    int warmup;
-    int requests;
-};
-
-/** Run the Table-4 arms and fill `doc` with one run per arm. */
 void
-buildTable4(stats::MetricsDocument &doc, bool quick)
+addRun(stats::MetricsDocument &doc, const std::string &name,
+       const ArmResult &arm, RunContext context)
 {
-    const Calibration full[] = {
-        {"apache", 150, 900},
-        {"firefox", 150, 450},
-        {"memcached", 150, 600},
-        {"mysql", 150, 700},
-    };
-    const Calibration fast[] = {
-        {"apache", 30, 60},
-        {"firefox", 30, 40},
-        {"memcached", 30, 50},
-        {"mysql", 30, 50},
-    };
-
-    for (const auto &cal : quick ? fast : full) {
-        const auto wl = workload::profileByName(cal.name);
-        for (const bool enhanced : {false, true}) {
-            const auto arm =
-                runArm(wl,
-                       enhanced ? enhancedMachine()
-                                : baseMachine(),
-                       cal.warmup, cal.requests);
-            const char *machine = enhanced ? "enhanced" : "base";
-            auto &run = doc.addRun(std::string(cal.name) + "." +
-                                   machine);
-            run.with("workload", cal.name)
-                .with("machine", machine)
-                .with("warmup", std::to_string(cal.warmup))
-                .with("requests", std::to_string(cal.requests));
-            run.registry = arm.registry;
-        }
-        // Alternative software baselines (§2 related work): the
-        // stable-linking arm memoizes every resolution at dlopen
-        // (zero lazy traps), the demand arm demand-pages library
-        // memory (cold-start fault storm). Both run the enhanced
-        // machine so the columns isolate the loader policy.
-        for (const auto policy : {linker::BindPolicy::Stable,
-                                  linker::BindPolicy::Demand}) {
-            auto mc = enhancedMachine();
-            mc.bindPolicy = policy;
-            const auto arm =
-                runArm(wl, mc, cal.warmup, cal.requests);
-            const char *pname = linker::bindPolicyName(policy);
-            auto &run = doc.addRun(std::string(cal.name) + "." +
-                                   pname);
-            run.with("workload", cal.name)
-                .with("machine", "enhanced")
-                .with("bind_policy", pname)
-                .with("warmup", std::to_string(cal.warmup))
-                .with("requests", std::to_string(cal.requests));
-            run.registry = arm.registry;
-        }
-        std::fprintf(stderr, "table4: %s done\n", cal.name);
-    }
+    auto &run = doc.addRun(name);
+    run.context = std::move(context);
+    run.registry = arm.registry;
 }
 
-/** Run the Figure-5 ABTB sweep and fill `doc`. */
+// Alternative software baselines (§2 related work): the stable arm
+// memoizes every resolution at dlopen (zero lazy traps), the demand
+// arm demand-pages library memory (cold-start fault storm). Both run
+// the enhanced machine so the columns isolate the loader policy.
+constexpr linker::BindPolicy policies[] = {linker::BindPolicy::Stable,
+                                           linker::BindPolicy::Demand};
+
+/** Table 4's base/enhanced arms plus the policy arms. */
 void
-buildFig5(stats::MetricsDocument &doc, bool quick)
+buildTable4(stats::MetricsDocument &doc, const BenchArgs &args)
 {
-    const char *profiles[] = {"apache", "firefox", "memcached"};
-    const int fullWarmups[] = {300, 1200, 150};
-    const int fullRequests[] = {400, 250, 350};
-    const int fastWarmups[] = {40, 80, 30};
-    const int fastRequests[] = {40, 30, 40};
+    std::vector<workload::MachineConfig> machines = {
+        baseMachine(), enhancedMachine()};
+    for (const auto policy : policies) {
+        machines.push_back(enhancedMachine());
+        machines.back().bindPolicy = policy;
+    }
+    const auto arms = runTable4(args, machines);
+    const char *names[] = {"base", "enhanced", "stable", "demand"};
+    std::size_t a = 0;
+    for (const GridWorkload &w : table4Workloads)
+        for (std::size_t m = 0; m < machines.size(); ++m, ++a)
+            addRun(doc, std::string(w.name) + "." + names[m], arms[a],
+                   gridContext(args, w, machines[m]));
+}
 
-    std::vector<std::uint32_t> entries;
-    if (quick)
-        entries = {4u, 16u, 64u, 256u};
-    else
-        entries = {1u,  2u,   4u,   8u,  16u, 32u,
-                   64u, 128u, 256u, 512u, 1024u};
+/** The Figure 5 sweep plus the policy arms at 256 entries. */
+void
+buildFig5(stats::MetricsDocument &doc, const BenchArgs &args)
+{
+    constexpr std::size_t n = std::size(fig5Workloads);
+    const auto sweep =
+        runFig5(args, linker::BindPolicy::Lazy, fig5Sizes);
+    const std::uint32_t paperDefault[] = {256};
+    std::vector<ArmResult> policyArms[std::size(policies)];
+    for (std::size_t p = 0; p < std::size(policies); ++p)
+        policyArms[p] = runFig5(args, policies[p], paperDefault);
 
-    for (int i = 0; i < 3; ++i) {
-        const auto wl = workload::profileByName(profiles[i]);
-        const int warmup = quick ? fastWarmups[i] : fullWarmups[i];
-        const int requests =
-            quick ? fastRequests[i] : fullRequests[i];
-        for (const auto n : entries) {
-            auto mc = enhancedMachine();
-            mc.abtbEntries = n;
-            mc.abtbAssoc = std::min(n, 4u);
-            const auto arm = runArm(wl, mc, warmup, requests);
-            auto &run =
-                doc.addRun(std::string(profiles[i]) + ".entries" +
-                           std::to_string(n));
-            run.with("workload", profiles[i])
-                .with("machine", "enhanced")
-                .with("abtb_entries", std::to_string(n))
-                .with("warmup", std::to_string(warmup))
-                .with("requests", std::to_string(requests));
-            run.registry = arm.registry;
-        }
-        // Policy-arm columns at the paper-default 256-entry ABTB:
-        // how the skip rate and trap counts look when the software
-        // baseline itself changes (stable linking, demand paging).
-        for (const auto policy : {linker::BindPolicy::Stable,
-                                  linker::BindPolicy::Demand}) {
-            auto mc = enhancedMachine();
-            mc.bindPolicy = policy;
-            const auto arm = runArm(wl, mc, warmup, requests);
-            const char *pname = linker::bindPolicyName(policy);
-            auto &run = doc.addRun(std::string(profiles[i]) + "." +
-                                   pname);
-            run.with("workload", profiles[i])
-                .with("machine", "enhanced")
-                .with("bind_policy", pname)
-                .with("abtb_entries", "256")
-                .with("warmup", std::to_string(warmup))
-                .with("requests", std::to_string(requests));
-            run.registry = arm.registry;
-        }
-        std::fprintf(stderr, "fig5: %s done\n", profiles[i]);
+    // Workload-major: each workload's sizes, then its policy arms.
+    for (std::size_t i = 0; i < n; ++i) {
+        const GridWorkload &w = fig5Workloads[i];
+        for (std::size_t s = 0; s < std::size(fig5Sizes); ++s)
+            addRun(doc,
+                   std::string(w.name) + ".entries" +
+                       std::to_string(fig5Sizes[s]),
+                   sweep[s * n + i],
+                   gridContext(args, w,
+                               fig5Machine(linker::BindPolicy::Lazy,
+                                           fig5Sizes[s])));
+        for (std::size_t p = 0; p < std::size(policies); ++p)
+            addRun(doc,
+                   std::string(w.name) + "." +
+                       linker::bindPolicyName(policies[p]),
+                   policyArms[p][i],
+                   gridContext(args, w, fig5Machine(policies[p])));
     }
 }
 
@@ -231,10 +175,11 @@ main(int argc, char **argv)
         }
     }
 
+    const BenchArgs args("bench_to_json", quick);
     stats::MetricsDocument table4("bench_to_json table4");
-    buildTable4(table4, quick);
+    buildTable4(table4, args);
     stats::MetricsDocument fig5("bench_to_json fig5");
-    buildFig5(fig5, quick);
+    buildFig5(fig5, args);
 
     const std::string table4Path = outDir + "/BENCH_table4.json";
     const std::string fig5Path = outDir + "/BENCH_fig5.json";

@@ -44,7 +44,6 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -54,9 +53,9 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "parse_count.hh"
 #include "sim/job_runner.hh"
 #include "snapshot/io.hh"
 #include "stats/metrics.hh"
@@ -109,29 +108,14 @@ parse(int argc, char **argv, Options &opt)
     int positional = 0;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        // The option's value as an unsigned decimal no larger than
-        // `max`; false, with a message, when it is missing or is
-        // anything else (sign, suffix, overflow).
-        auto next_count = [&](std::uint64_t max, std::uint64_t &out) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n",
-                             arg.c_str());
-                return false;
-            }
-            const std::string_view text = argv[++i];
-            const auto [end, ec] = std::from_chars(
-                text.data(), text.data() + text.size(), out);
-            if (ec != std::errc{} ||
-                end != text.data() + text.size() || out > max) {
-                std::fprintf(stderr,
-                             "%s: '%s' is not a count in [0, %llu]\n",
-                             arg.c_str(), argv[i],
-                             static_cast<unsigned long long>(max));
-                return false;
-            }
-            return true;
+        // The option's value as a count no larger than `max`;
+        // throws (parseCount) when it is missing or malformed.
+        auto next_count = [&](std::uint64_t max) {
+            if (i + 1 >= argc)
+                throw std::invalid_argument(arg +
+                                            " requires a value");
+            return bench::parseCount(arg, argv[++i], max);
         };
-        std::uint64_t n = 0;
         if (arg == "--enhanced") {
             opt.enhanced = true;
         } else if (arg == "--arm") {
@@ -146,34 +130,20 @@ parse(int argc, char **argv, Options &opt)
                              "--bind-policy requires a name\n");
                 return false;
             }
-            try {
-                opt.bindPolicy =
-                    linker::parseBindPolicy(argv[++i]);
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "%s\n", e.what());
-                return false;
-            }
+            opt.bindPolicy = linker::parseBindPolicy(argv[++i]);
         } else if (arg == "--aslr") {
             opt.aslr = true;
         } else if (arg == "--requests") {
-            if (!next_count(INT_MAX, n))
-                return false;
-            opt.requests = static_cast<int>(n);
+            opt.requests = static_cast<int>(next_count(INT_MAX));
         } else if (arg == "--warmup") {
-            if (!next_count(INT_MAX, n))
-                return false;
-            opt.warmup = static_cast<int>(n);
+            opt.warmup = static_cast<int>(next_count(INT_MAX));
         } else if (arg == "--abtb-entries") {
-            if (!next_count(UINT32_MAX, n))
-                return false;
-            opt.abtbEntries = static_cast<std::uint32_t>(n);
+            opt.abtbEntries =
+                static_cast<std::uint32_t>(next_count(UINT32_MAX));
         } else if (arg == "--seed") {
-            if (!next_count(UINT64_MAX, n))
-                return false;
-            opt.seed = n;
+            opt.seed = next_count(UINT64_MAX);
         } else if (arg == "--jobs") {
-            if (!next_count(UINT_MAX, n))
-                return false;
+            const auto n = next_count(UINT_MAX);
             if (n < 1) {
                 std::fprintf(stderr,
                              "--jobs requires a count >= 1\n");
@@ -504,8 +474,13 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parse(argc, argv, opt))
+    try {
+        if (!parse(argc, argv, opt))
+            return usage();
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return usage();
+    }
     try {
         if (opt.command == "run")
             return cmdRun(opt);

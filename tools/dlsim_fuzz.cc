@@ -25,23 +25,18 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "check/fuzz.hh"
+#include "parse_count.hh"
 
 namespace
 {
 
 using dlsim::check::FuzzCase;
 using dlsim::check::FuzzResult;
-
-std::uint64_t
-parseU64(const char *s)
-{
-    return std::strtoull(s, nullptr, 0);
-}
 
 void
 printResult(const FuzzCase &c, const FuzzResult &r)
@@ -230,6 +225,21 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // A decimal count no larger than `max`: exit 2 on anything
+        // else, as the other tools do.
+        const auto count = [&](std::string_view text,
+                               std::uint64_t max) {
+            try {
+                return dlsim::bench::parseCount(arg, text, max);
+            } catch (const std::invalid_argument &e) {
+                std::cerr << e.what() << "\n";
+                std::exit(2);
+            }
+        };
+        const auto u32 = [&] {
+            return static_cast<std::uint32_t>(
+                count(next(), UINT32_MAX));
+        };
         if (arg == "--smoke") {
             smoke = true;
         } else if (arg == "--inject-bug") {
@@ -237,21 +247,19 @@ main(int argc, char **argv)
         } else if (arg == "--seeds") {
             const std::string v = next();
             const auto colon = v.find(':');
-            seed_lo = parseU64(v.c_str());
+            seed_lo = count(v.substr(0, colon), UINT64_MAX);
             seed_hi = colon == std::string::npos
                           ? seed_lo
-                          : parseU64(v.c_str() + colon + 1);
+                          : count(v.substr(colon + 1), UINT64_MAX);
             have_seeds = true;
         } else if (arg == "--shrink-budget") {
-            shrink_budget =
-                static_cast<std::uint32_t>(parseU64(next()));
+            shrink_budget = u32();
         } else if (arg == "--seed") {
-            c.seed = parseU64(next());
+            c.seed = count(next(), UINT64_MAX);
         } else if (arg == "--cores") {
-            c.cores = static_cast<std::uint32_t>(parseU64(next()));
+            c.cores = u32();
         } else if (arg == "--requests") {
-            c.requests =
-                static_cast<std::uint32_t>(parseU64(next()));
+            c.requests = u32();
         } else if (arg == "--server") {
             c.server = true;
         } else if (arg == "--sample") {
@@ -259,37 +267,27 @@ main(int argc, char **argv)
         } else if (arg == "--base-machine") {
             c.baseMachine = true;
         } else if (arg == "--tenants") {
-            c.tenants =
-                static_cast<std::uint32_t>(parseU64(next()));
+            c.tenants = u32();
         } else if (arg == "--events") {
-            c.eventsMask =
-                static_cast<std::uint32_t>(parseU64(next()));
+            c.eventsMask = u32();
         } else if (arg == "--event-count") {
-            c.eventCount =
-                static_cast<std::uint32_t>(parseU64(next()));
+            c.eventCount = u32();
         } else if (arg == "--abtb-entries") {
-            c.abtbEntries =
-                static_cast<std::uint32_t>(parseU64(next()));
+            c.abtbEntries = u32();
         } else if (arg == "--abtb-assoc") {
-            c.abtbAssoc =
-                static_cast<std::uint32_t>(parseU64(next()));
+            c.abtbAssoc = u32();
         } else if (arg == "--bloom-bits") {
-            c.bloomBits =
-                static_cast<std::uint32_t>(parseU64(next()));
+            c.bloomBits = u32();
         } else if (arg == "--bloom-hashes") {
-            c.bloomHashes =
-                static_cast<std::uint32_t>(parseU64(next()));
+            c.bloomHashes = u32();
         } else if (arg == "--num-libs") {
-            c.numLibs = static_cast<std::uint32_t>(parseU64(next()));
+            c.numLibs = u32();
         } else if (arg == "--funcs-per-lib") {
-            c.funcsPerLib =
-                static_cast<std::uint32_t>(parseU64(next()));
+            c.funcsPerLib = u32();
         } else if (arg == "--called-imports") {
-            c.calledImports =
-                static_cast<std::uint32_t>(parseU64(next()));
+            c.calledImports = u32();
         } else if (arg == "--steps") {
-            c.stepsPerRequest =
-                static_cast<std::uint32_t>(parseU64(next()));
+            c.stepsPerRequest = u32();
         } else if (arg == "--explicit-invalidation") {
             c.explicitInvalidation = true;
         } else if (arg == "--asid-retention") {

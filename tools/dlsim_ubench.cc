@@ -27,7 +27,6 @@
  *                     [--seed N]
  */
 
-#include <charconv>
 #include <chrono>
 #include <climits>
 #include <cstdint>
@@ -35,8 +34,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <string_view>
 
+#include "parse_count.hh"
 #include "sim/sampled.hh"
 #include "workload/engine.hh"
 #include "workload/profiles.hh"
@@ -69,31 +68,6 @@ usage(int code)
         "dispatch off and on. Wall-clock-based: run on an idle\n"
         "host; not a correctness test.\n");
     std::exit(code);
-}
-
-/**
- * The value of option `flag` as an unsigned decimal no larger than
- * `max`; anything else (sign, suffix, overflow, empty) exits 2 with
- * a message naming the option — the rule BenchArgs and dlsim_cli
- * apply.
- */
-std::uint64_t
-parseCount(const std::string &flag, const char *text,
-           std::uint64_t max)
-{
-    const std::string_view v = text;
-    std::uint64_t out = 0;
-    const auto [end, ec] =
-        std::from_chars(v.data(), v.data() + v.size(), out);
-    if (ec != std::errc{} || end != v.data() + v.size() || out > max) {
-        std::fprintf(stderr,
-                     "dlsim_ubench: %s: '%s' is not a count in "
-                     "[0, %llu]\n",
-                     flag.c_str(), text,
-                     static_cast<unsigned long long>(max));
-        usage(2);
-    }
-    return out;
 }
 
 struct ModeResult
@@ -160,18 +134,24 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        const auto count = [&](std::uint64_t max) {
+            try {
+                return bench::parseCount(arg, value(), max);
+            } catch (const std::invalid_argument &e) {
+                std::fprintf(stderr, "dlsim_ubench: %s\n", e.what());
+                usage(2);
+            }
+        };
         if (arg == "--help" || arg == "-h")
             usage(0);
         else if (arg == "--profile")
             opt.profile = value();
         else if (arg == "--warmup")
-            opt.warmup =
-                static_cast<int>(parseCount(arg, value(), INT_MAX));
+            opt.warmup = static_cast<int>(count(INT_MAX));
         else if (arg == "--requests")
-            opt.requests =
-                static_cast<int>(parseCount(arg, value(), INT_MAX));
+            opt.requests = static_cast<int>(count(INT_MAX));
         else if (arg == "--seed")
-            opt.seed = parseCount(arg, value(), UINT64_MAX);
+            opt.seed = count(UINT64_MAX);
         else {
             std::fprintf(stderr,
                          "dlsim_ubench: unknown argument '%s'\n",
